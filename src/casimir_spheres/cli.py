@@ -30,17 +30,14 @@ from . import __version__
 from .errors import CasimirError, ConvergenceError, DomainError, FitError, QuadratureError
 from .geometry import (PLANE, ReducedGeometry, SphereGeometry, free_energy_si,
                        from_invariants, reduce)
-from .scalar import f_sc_roundtrip, f_sc_total
-from .drude import f1_dvd, f_dvd_total
 from .electrolyte import (QuadratureSettings, RoundTripMatrixSpec,
-                          det_roundtrip_matrix, det_roundtrip_transfer,
-                          f1_ded, f_ded_total)
-from .rational import (FitResult, builtin_params, default_fit_grid, f_approx,
-                       max_deviation, phi_rm, phi_u, refit)
-from .validation import (DIELECTRIC_ELECTROLYTE, DRUDE_VACUUM, SCALAR,
-                         f_roundtrip_planewave)
+                          det_roundtrip_matrix, det_roundtrip_transfer)
+from .models import MODELS as _REGISTRY, get_model
+from .rational import (FitResult, builtin_params, f_approx, max_deviation,
+                       phi_u, refit)
+from .validation import f_roundtrip_planewave
 
-MODELS = ("scalar", "dvd", "ded")
+MODELS = tuple(_REGISTRY)
 QUANTITIES = ("f", "f1", "phi", "ratio_u_over_quarter", "phi_over_quarter", "f_approx")
 
 _CONFIG_KEYS = {
@@ -89,22 +86,25 @@ def _geometry_from_args(args) -> ReducedGeometry:
     return reduce(SphereGeometry(L=args.L, R1=args.R1, R2=args.R2))
 
 
-def _f_total(red, model, args):
-    st = _settings(args)
-    if model == "scalar":
-        return f_sc_total(red, tol=min(args.tol, 1e-10)), 0.0
-    if model == "dvd":
-        return f_dvd_total(red, tol=min(args.tol, 1e-10)), 0.0
-    v = f_ded_total(red, tol=args.tol, r_max=args.rmax, settings=st)
-    return v.value, v.error
+def _total(model, red, args):
+    """Total of ``model`` at the CLI's tolerance: ``--tol``, capped for the series."""
+    m = get_model(model)
+    res = m.total(red, tol=min(args.tol, m.tol_cap), r_max=args.rmax,
+                  settings=_settings(args))
+    return res.value, res.error
 
 
-def _f1(red, model):
-    if model == "scalar":
-        return f_sc_roundtrip(red, 1)
-    if model == "dvd":
-        return f1_dvd(red)
-    return f1_ded(red)
+def _check_grid(args):
+    if args.ymin <= 0 or args.ymax <= args.ymin or args.points < 2:
+        _fail("need 0 < ymin < ymax (as y-1) and points >= 2")
+
+
+def _read_params(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return FitResult.from_json(fh.read()).params
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        _fail(f"cannot read parameters from {path}: {type(exc).__name__}: {exc}")
 
 
 def cmd_compute(args) -> int:
@@ -116,8 +116,8 @@ def cmd_compute(args) -> int:
     if not red.is_plane:
         print(f"z      = {red.z:.12g}")
     for model in models:
-        f, err = _f_total(red, model, args)
-        f1 = _f1(red, model)
+        f, err = _total(model, red, args)
+        f1 = get_model(model).f1(red)
         line = f"model={model}: f1 = {f1:.12g}  f = {f:.12g}"
         if err:
             line += f" +- {err:.2g}"
@@ -129,29 +129,26 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _curve_point(model, quantity, y, u, args, params):
+def _curve_point(model, quantity, y, u, totals, params):
+    """One CSV row's (value, error) from the precomputed ``totals``."""
     red = from_invariants(y, u)
-    if quantity == "f":
-        return _f_total(red, model, args)
+    f1 = get_model(model).f1
     if quantity == "f1":
-        return _f1(red, model), 0.0
-    if quantity == "phi":
-        f, err = _f_total(red, model, args)
-        f1 = _f1(red, model)
-        return f / f1, err / f1
-    if quantity == "ratio_u_over_quarter":
-        f, err = _f_total(red, model, args)
-        fq, errq = _f_total(from_invariants(y, 0.25), model, args)
-        val = f / fq
-        return val, abs(val) * (err / abs(f) + errq / abs(fq))
-    if quantity == "phi_over_quarter":
-        f, err = _f_total(red, model, args)
-        fq, errq = _f_total(from_invariants(y, 0.25), model, args)
-        p = (f / _f1(red, model)) / (fq / _f1(from_invariants(y, 0.25), model))
-        return p, abs(p) * (err / abs(f) + errq / abs(fq))
+        return f1(red), 0.0
     if quantity == "f_approx":
         return f_approx(red, model, params), 0.0
-    raise DomainError(f"unknown quantity {quantity!r}")
+    f, err = totals[model, y, u]
+    if quantity == "f":
+        return f, err
+    if quantity == "phi":
+        f1_red = f1(red)
+        return f / f1_red, err / f1_red
+    fq, errq = totals[model, y, 0.25]
+    if quantity == "ratio_u_over_quarter":
+        val = f / fq
+        return val, abs(val) * (err / abs(f) + errq / abs(fq))
+    p = (f / f1(red)) / (fq / f1(from_invariants(y, 0.25)))
+    return p, abs(p) * (err / abs(f) + errq / abs(fq))
 
 
 def cmd_curve(args) -> int:
@@ -162,45 +159,42 @@ def cmd_curve(args) -> int:
         u_values = [float(tok) for tok in str(args.u).split(",")]
     except ValueError:
         _fail(f"--u expects a comma-separated list of numbers, got {args.u!r}")
-    if args.ymin <= 0 or args.ymax <= args.ymin or args.points < 2:
-        _fail("need 0 < ymin < ymax (as y-1) and points >= 2")
+    _check_grid(args)
     if args.log:
         ys = 1.0 + np.logspace(math.log10(args.ymin), math.log10(args.ymax), args.points)
     else:
         ys = 1.0 + np.linspace(args.ymin, args.ymax, args.points)
+    ys = [float(y) for y in ys]
 
-    params = None
+    params = {}
     if args.quantity == "f_approx":
-        params = {}
-        for model in models:
-            if model == "scalar":
-                _fail("f_approx is defined for dvd and ded only")
-            if args.params == "builtin":
-                params[model] = builtin_params(model)
-            else:
-                params[model] = FitResult.from_json(
-                    open(args.params, encoding="utf-8").read()).params
+        if "scalar" in models:
+            _fail("f_approx is defined for dvd and ded only")
+        if args.params == "builtin":
+            params = {model: builtin_params(model) for model in models}
+        else:
+            params = dict.fromkeys(models, _read_params(args.params))
 
-    tasks = []
-    for model in models:
-        for u in u_values:
-            for y in ys:
-                tasks.append((model, args.quantity, float(y), float(u)))
+    # every distinct (model, y, u) total is evaluated once; the ratio
+    # quantities share the u = 1/4 reference across their u values
+    refs = [0.25] if args.quantity in ("ratio_u_over_quarter", "phi_over_quarter") else []
+    total_us = [] if args.quantity in ("f1", "f_approx") else u_values + refs
+    keys = list(dict.fromkeys((model, y, u) for model in models for u in total_us for y in ys))
 
-    def run(task):
-        model, quantity, y, u = task
-        p = params[model] if params else None
+    def run(key):
+        model, y, u = key
         try:
-            val, err = _curve_point(model, quantity, y, u, args, p)
-            return task, val, err
+            return _total(model, from_invariants(y, u), args)
         except (ConvergenceError, QuadratureError):
-            return task, math.nan, math.nan
+            return math.nan, math.nan
 
     with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = list(pool.map(run, tasks))
+        totals = dict(zip(keys, pool.map(run, keys)))
 
     rows = sorted(
-        ((model, quantity, u, y, val, err) for (model, quantity, y, u), val, err in results),
+        ((model, args.quantity, u, y,
+          *_curve_point(model, args.quantity, y, u, totals, params.get(model)))
+         for model in models for u in u_values for y in ys),
         key=lambda r: (r[0], r[1], r[2], r[3]),
     )
     lines = [
@@ -232,6 +226,7 @@ def cmd_fit(args) -> int:
         _fail(f"--n must be >= 1, got {args.n}")
     if not 0.0 <= args.uref <= 0.25:
         _fail(f"--uref must lie in [0, 1/4], got {args.uref}")
+    _check_grid(args)
     grid = 1.0 + np.logspace(math.log10(args.ymin), math.log10(args.ymax), args.points)
     try:
         result = refit(args.model, args.uref, n=args.n, grid=grid,
@@ -263,16 +258,14 @@ def cmd_validate(args) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f"  ({detail})" if detail else ""))
         failures += 0 if ok else 1
 
-    import numpy as np  # local alias for clarity
-
     for (y, u) in [(1.5, 0.25), (2.0, 0.1), (5.0, 0.0)]:
         red = from_invariants(y, u)
-        for model, fn in ((SCALAR, lambda r: f_sc_roundtrip(r, 1)),
-                          (DRUDE_VACUUM, f1_dvd), (DIELECTRIC_ELECTROLYTE, f1_ded)):
-            closed = fn(red)
-            got = f_roundtrip_planewave(model, red, 1).value
+        for model in _REGISTRY.values():
+            closed = model.f1(red)
+            got = f_roundtrip_planewave(model.reflection, red, 1).value
             rel = abs(got / closed - 1.0)
-            check(f"plane-wave r=1 {model.kind} (y={y}, u={u})", rel < 1e-5, f"rel {rel:.1e}")
+            check(f"plane-wave r=1 {model.reflection.kind} (y={y}, u={u})", rel < 1e-5,
+                  f"rel {rel:.1e}")
 
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -288,7 +281,7 @@ def cmd_validate(args) -> int:
 
     for (y, u) in [(2.0, 0.1), (3.0, 0.25)]:
         red = from_invariants(y, u)
-        got = f_ded_total(red, settings=_settings(args)).value / f1_ded(red)
+        got = phi_u(red, "ded", _settings(args))
         check(f"phi_ded(y={y}, u={u}) in (1, zeta3]", 1.0 < got < 1.2120569, f"phi {got:.6f}")
     return 0 if failures == 0 else 1
 

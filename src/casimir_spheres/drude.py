@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
 from .geometry import ReducedGeometry
-from .scalar import f_sc_total
+from .scalar import _series_sum, f_sc_total
 
 __all__ = [
     "CapacitanceMatrix",
@@ -27,9 +26,6 @@ __all__ = [
     "f1_dvd",
     "f_dvd_dipole",
 ]
-
-MAX_TERMS = 10**7
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -51,22 +47,6 @@ class CapacitanceMatrix:
     c12: float
     det: float
     det_minus_one: float
-
-
-def _series_sum(term_fn, tol: float, what: str) -> float:
-    """Sum term_fn(n) for n = 0, 1, ... until term < tol * partial sum."""
-    total = 0.0
-    start = 0
-    while start < MAX_TERMS:
-        n = np.arange(start, start + _CHUNK, dtype=float)
-        terms = term_fn(n)
-        csum = total + np.cumsum(terms)
-        small = np.nonzero(terms < tol * csum)[0]
-        if small.size:
-            return float(csum[small[0]])
-        total = float(csum[-1])
-        start += _CHUNK
-    raise ConvergenceError(f"{what} series did not converge within {MAX_TERMS} terms")
 
 
 def _self_series(varpi: float, sa: float, sb: float, tol: float) -> float:
@@ -113,8 +93,6 @@ def capacitance_coeffs(red: ReducedGeometry, tol: float = 1e-12) -> CapacitanceM
     -------
     CapacitanceMatrix
     """
-    if not 0.0 < tol < 1.0:
-        raise DomainError(f"tolerance must lie in (0, 1), got {tol}")
     w = red.varpi
     if red.is_plane:
         s1 = _mutual_series(w, tol)

@@ -19,7 +19,6 @@ plane branch of the engine evaluates.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,8 +29,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.stats import qmc
 
 from .errors import AccuracyWarning, DomainError, QuadratureError
-from .geometry import ReducedGeometry
-from .scalar import f_sc_roundtrip, f_sc_total
+from .geometry import ReducedGeometry, from_invariants
+from .scalar import _roundtrip_terms, f_sc_roundtrip, f_sc_total
 
 __all__ = [
     "RoundTripMatrixSpec",
@@ -424,9 +423,14 @@ def f_ded_roundtrip(
 
 # plane-case deviation sequences are reused as the tail shape for all u
 # near contact, where the deviation is nearly independent of u
-_plane_eta_cache: dict = {}
-_plane_eta_lock = threading.Lock()
 _PLANE_TAIL_RMAX = 14
+_PLANE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_PLANE_CACHE_SIZE)
+def _plane_correction(y: float, r: int, settings: QuadratureSettings) -> tuple:
+    """:func:`_roundtrip_correction` of the plane case at y, memoised per order."""
+    return _roundtrip_correction(from_invariants(y, 0.0), r, settings)
 
 
 def _plane_eta_sequence(y: float, r_from: int, settings: QuadratureSettings) -> dict:
@@ -437,27 +441,17 @@ def _plane_eta_sequence(y: float, r_from: int, settings: QuadratureSettings) -> 
     the raw high-order entries are quasi-Monte-Carlo noisy.  Returns
     {r: (eta, relative error)}.
     """
-    key = (y, r_from, settings)
-    with _plane_eta_lock:
-        if key in _plane_eta_cache:
-            return _plane_eta_cache[key]
-    red0 = ReducedGeometry(
-        y=y, u=0.0, z=math.inf,
-        varpi=math.log1p((y - 1.0) + math.sqrt((y - 1.0) * (y + 1.0))),
-        r_eff=1.0, alpha1=math.inf, alpha2=0.0,
-    )
+    red0 = from_invariants(y, 0.0)
     out = {}
     eta_floor = 0.0
     for r in range(r_from, _PLANE_TAIL_RMAX + 1):
         fsc_r = f_sc_roundtrip(red0, r)
-        corr, err = _roundtrip_correction(red0, r, settings)
+        corr, err = _plane_correction(y, r, settings)
         eta = min(1.0, max(-corr / fsc_r, eta_floor))
         eta_floor = eta
         out[r] = (eta, err / fsc_r)
         if 1.0 - eta < 0.15:
             break
-    with _plane_eta_lock:
-        _plane_eta_cache[key] = out
     return out
 
 
@@ -469,10 +463,7 @@ def _tail_sum(red, r_start, eta_of_k, err_of_k, stop_below):
     r = r_start + 1
     while r < r_start + 10**6:
         k = np.arange(r - r_start, r - r_start + 512)
-        rr = np.arange(r, r + 512, dtype=float)
-        x = rr * varpi
-        e = np.exp(-x)
-        fsc_rr = 2.0 * e * (1.0 + e * e) / ((1.0 - e * e) ** 2 * 4.0 * rr)
+        fsc_rr = _roundtrip_terms(varpi, np.arange(r, r + 512, dtype=float))
         tail_corr -= float(np.sum(eta_of_k(k) * fsc_rr))
         tail_err += float(np.sum(err_of_k(k) * fsc_rr))
         if fsc_rr[-1] < stop_below:

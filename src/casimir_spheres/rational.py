@@ -17,17 +17,16 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import DomainError, FitError
 from .geometry import ReducedGeometry, from_invariants
-from .scalar import ZETA3, f_sc_roundtrip, f_sc_total
-from .drude import f1_dvd, f_dvd_total
-from .electrolyte import QuadratureSettings, f1_ded, f_ded_total
+from .electrolyte import QuadratureSettings
+from .models import get_model
 
 __all__ = [
     "RationalModelParams",
@@ -41,10 +40,7 @@ __all__ = [
     "max_deviation",
     "f_approx",
     "default_fit_grid",
-    "clear_phi_cache",
 ]
-
-_MODELS = ("scalar", "dvd", "ded")
 
 
 @dataclass(frozen=True)
@@ -163,44 +159,22 @@ def phi_rm(y, params: RationalModelParams):
     return float(out) if np.ndim(y) == 0 else out
 
 
-# phi_u evaluations dominate the fitting cost; cache them per point
-_phi_cache: dict = {}
-_phi_lock = threading.Lock()
+# phi_u evaluations dominate the fitting cost; a refit on the default
+# 200-point grid and the acceptance phi tables (about 1,300 points) fit
+_PHI_CACHE_SIZE = 8192
 
 
-def clear_phi_cache() -> None:
-    with _phi_lock:
-        _phi_cache.clear()
-
-
-def _f_total_and_f1(red: ReducedGeometry, model: str,
-                    settings: QuadratureSettings | None):
-    if model == "scalar":
-        return f_sc_total(red), f_sc_roundtrip(red, 1)
-    if model == "dvd":
-        return f_dvd_total(red), f1_dvd(red)
-    if model == "ded":
-        return f_ded_total(red, settings=settings).value, f1_ded(red)
-    raise DomainError(f"unknown model {model!r}; choose from {_MODELS}")
-
-
+@lru_cache(maxsize=_PHI_CACHE_SIZE)
 def phi_u(red: ReducedGeometry, model: str,
           settings: QuadratureSettings | None = None) -> float:
     """Ratio of the full reduced free energy to its single round trip.
 
     Lies in (1, zeta(3)] and decreases with y for the two
     electromagnetic models; the scalar ratio shares the endpoints but is
-    not monotonic.
+    not monotonic.  Results are memoised per (red, model, settings).
     """
-    key = (model, red.y, red.u, settings)
-    with _phi_lock:
-        if key in _phi_cache:
-            return _phi_cache[key]
-    f_tot, f1 = _f_total_and_f1(red, model, settings)
-    val = f_tot / f1
-    with _phi_lock:
-        _phi_cache[key] = val
-    return val
+    m = get_model(model)
+    return m.total(red, settings=settings).value / m.f1(red)
 
 
 def default_fit_grid(points: int = 200, lo: float = 1e-2, hi: float = 10.0) -> np.ndarray:
@@ -336,10 +310,6 @@ def f_approx(red: ReducedGeometry, model: str,
     """
     if params is None:
         params = builtin_params(model)
-    if model == "dvd":
-        f1 = f1_dvd(red)
-    elif model == "ded":
-        f1 = f1_ded(red)
-    else:
+    if model not in ("dvd", "ded"):
         raise DomainError(f"f_approx supports 'dvd' and 'ded', got {model!r}")
-    return f1 * phi_rm(red.y, params)
+    return get_model(model).f1(red) * phi_rm(red.y, params)

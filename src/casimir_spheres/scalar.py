@@ -8,8 +8,6 @@ zeta(3) / (8(y-1)) shared by all models.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
@@ -53,6 +51,24 @@ def f_sc_roundtrip(red: ReducedGeometry, r: int) -> float:
     return float(_roundtrip_terms(red.varpi, np.asarray([float(r)]))[0])
 
 
+def _series_sum(term_fn, tol: float, what: str) -> float:
+    """Sum term_fn(n) for n = 0, 1, ... until term < tol * partial sum."""
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tolerance must lie in (0, 1), got {tol}")
+    total = 0.0
+    start = 0
+    while start < MAX_TERMS:
+        n = np.arange(start, start + _CHUNK, dtype=float)
+        terms = term_fn(n)
+        csum = total + np.cumsum(terms)
+        small = np.nonzero(terms < tol * csum)[0]
+        if small.size:
+            return float(csum[small[0]])
+        total = float(csum[-1])
+        start += _CHUNK
+    raise ConvergenceError(f"{what} series did not converge within {MAX_TERMS} terms")
+
+
 def f_sc_total(red: ReducedGeometry, tol: float = 1e-12) -> float:
     """Sum of all round-trip contributions.
 
@@ -70,23 +86,9 @@ def f_sc_total(red: ReducedGeometry, tol: float = 1e-12) -> float:
     -------
     float
     """
-    if not 0.0 < tol < 1.0:
-        raise DomainError(f"tolerance must lie in (0, 1), got {tol}")
     varpi = red.varpi
-    total = 0.0
-    start = 1
-    while start < MAX_TERMS:
-        r = np.arange(start, start + _CHUNK, dtype=float)
-        terms = _roundtrip_terms(varpi, r)
-        csum = total + np.cumsum(terms)
-        small = np.nonzero(terms < tol * csum)[0]
-        if small.size:
-            return float(csum[small[0]])
-        total = float(csum[-1])
-        start += _CHUNK
-    raise ConvergenceError(
-        f"round-trip sum did not converge within {MAX_TERMS} terms (varpi={varpi:.3e})"
-    )
+    return _series_sum(lambda n: _roundtrip_terms(varpi, n + 1.0), tol,
+                       f"round-trip (varpi={varpi:.3e})")
 
 
 def f_pfa(red: ReducedGeometry) -> float:

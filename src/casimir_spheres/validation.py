@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -120,24 +121,10 @@ def reflection_tm_series(model: ReflectionModel, chi) -> np.ndarray | float:
     return float(acc) if np.ndim(chi) == 0 else acc
 
 
-def _kernel_pair(model: ReflectionModel):
-    """Per-reflection kernel and the plane reflection coefficient."""
-    if model.kind == "scalar-Dirichlet":
-        return (lambda chi: np.cosh(chi)), 1.0
-    if model.kind == "Drude-vacuum":
-        return (lambda chi: np.cosh(chi) - 1.0), 1.0
-    return _ded_bracket, 1.0  # sign of kernel and of the plane both flip: product is +
-
-
-def _gh_nodes(n: int):
-    x, w = hermgauss(n)
-    return x, w
-
-
 def _planewave_sphere_sphere_r1(model, red, nodes: int) -> float:
     """4-dim tensor Gauss-Hermite for one round trip between two spheres."""
-    kern, _ = _kernel_pair(model)
-    x, w = _gh_nodes(nodes)
+    kern = partial(reflection_tm, model)
+    x, w = hermgauss(nodes)
     c1 = 2.0 * math.sqrt(red.alpha1 / red.z)  # 2 R1 / distance
     c2 = 2.0 * math.sqrt(red.alpha2 / red.z)
     # coupling w = x1 x2 + y1 y2; chunk over the x1 axis to bound memory
@@ -156,31 +143,32 @@ def _planewave_sphere_sphere_r1(model, red, nodes: int) -> float:
 
 
 def _planewave_plane_sphere(model, red, r: int, nodes: int) -> float:
-    """2r-dim tensor Gauss-Hermite for the plane-sphere configuration."""
-    kern, rp = _kernel_pair(model)
-    x, w = _gh_nodes(nodes)
+    """2r-dim tensor Gauss-Hermite for the plane-sphere configuration, r <= 2."""
+    kern = partial(reflection_tm, model)
+    x, w = hermgauss(nodes)
     y = red.y
+    # the plane reflects with the sign of the sphere kernel, which is
+    # negative for the electrolyte model
+    rp = -1.0 if model.kind == "dielectric-electrolyte" else 1.0
     if r == 1:
         # chi = (x1^2 + y1^2)/y: polar reduction would work, but stay brute force
         bil = x[:, None] ** 2 + x[None, :] ** 2
         total = float(np.sum(w[:, None] * w[None, :] * kern(bil / y)))
         return 0.5 * rp / (2.0 * y) / math.pi * total
-    if r == 2:
-        X1 = x[:, None, None, None]
-        X2 = x[None, :, None, None]
-        Y1 = x[None, None, :, None]
-        Y2 = x[None, None, None, :]
-        W = (w[:, None, None, None] * w[None, :, None, None]
-             * w[None, None, :, None] * w[None, None, None, :])
-        bil = X1 * X2 + Y1 * Y2
-        total = float(np.sum(W * kern(bil / y) ** 2))
-        return 0.25 * rp ** 2 / (2.0 * y) ** 2 / math.pi ** 2 * total
-    raise DomainError("plane-wave oracle supports r in {1, 2} only")
+    X1 = x[:, None, None, None]
+    X2 = x[None, :, None, None]
+    Y1 = x[None, None, :, None]
+    Y2 = x[None, None, None, :]
+    W = (w[:, None, None, None] * w[None, :, None, None]
+         * w[None, None, :, None] * w[None, None, None, :])
+    bil = X1 * X2 + Y1 * Y2
+    total = float(np.sum(W * kern(bil / y) ** 2))
+    return 0.25 * rp ** 2 / (2.0 * y) ** 2 / math.pi ** 2 * total
 
 
 def _planewave_sphere_sphere_r2(model, red, npts: int, seed: int) -> tuple:
     """8-dim QMC with Gaussian map for two round trips, two spheres."""
-    kern, _ = _kernel_pair(model)
+    kern = partial(reflection_tm, model)
     c1 = 2.0 * math.sqrt(red.alpha1 / red.z)
     c2 = 2.0 * math.sqrt(red.alpha2 / red.z)
     n_rep = 4
@@ -244,14 +232,11 @@ def f_roundtrip_planewave(
         raise QuadratureError("Gaussian decay does not dominate: invalid geometry")
     if r not in (1, 2):
         raise DomainError("plane-wave oracle supports r in {1, 2} only")
-    if red.is_plane:
-        hi = _planewave_plane_sphere(model, red, r, nodes)
-        lo = _planewave_plane_sphere(model, red, r, max(8, nodes // 2))
-        value, err = hi, abs(hi - lo)
-    elif r == 1:
-        hi = _planewave_sphere_sphere_r1(model, red, nodes)
-        lo = _planewave_sphere_sphere_r1(model, red, max(8, nodes // 2))
-        value, err = hi, abs(hi - lo)
+    if red.is_plane or r == 1:
+        rule = (partial(_planewave_plane_sphere, model, red, r) if red.is_plane
+                else partial(_planewave_sphere_sphere_r1, model, red))
+        value = rule(nodes)
+        err = abs(value - rule(max(8, nodes // 2)))
     else:
         value, err = _planewave_sphere_sphere_r2(model, red, qmc_points, seed)
     if rtol is not None and err > rtol * abs(value):

@@ -152,3 +152,24 @@ def test_curve_f_approx_from_fitted_file(tmp_path, capsys):
     assert len(rows) == 3
     assert all(float(r.split(",")[4]) > 0 for r in rows)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("grid", [["--ymin", "0"], ["--ymin", "-1"],
+                                  ["--ymin", "5", "--ymax", "1"], ["--points", "1"]])
+def test_fit_rejects_bad_grid(grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--model", "dvd", *grid])
+    assert exc.value.code == 2
+    assert "ymin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "not json", json.dumps({"model": "dvd", "n": 2})])
+def test_curve_f_approx_rejects_bad_params_file(tmp_path, capsys, content):
+    params = tmp_path / "p.json"
+    if content is not None:
+        params.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "--model", "dvd", "--quantity", "f_approx", "--u", "0.1",
+              "--params", str(params)])
+    assert exc.value.code == 2
+    assert "cannot read parameters" in capsys.readouterr().err
