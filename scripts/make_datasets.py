@@ -10,7 +10,6 @@ import subprocess
 import sys
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
-OUT.mkdir(exist_ok=True)
 
 U_SET = "0,0.016,0.04,0.1,0.25"
 COMMON = ["--ymin", "1e-2", "--ymax", "1e2", "--points", "60", "--seed", "1"]
@@ -32,6 +31,7 @@ JOBS = [
 
 
 def main() -> int:
+    OUT.mkdir(exist_ok=True)
     for args, name in JOBS:
         dest = OUT / name
         cmd = [sys.executable, "-m", "casimir_spheres"] + args + COMMON + ["--out", str(dest)]

@@ -13,7 +13,6 @@ from casimir_spheres.electrolyte import QuadratureSettings
 from casimir_spheres.rational import builtin_params, max_deviation, refit
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
-OUT.mkdir(exist_ok=True)
 
 GRID_Y = 1.0 + np.logspace(-2, 1, 100)
 GRID_U = (0.0, 0.016, 0.04, 0.1, 0.25)
@@ -22,6 +21,7 @@ EVAL_GRID = [(float(y), u) for u in GRID_U for y in GRID_Y]
 
 
 def main() -> int:
+    OUT.mkdir(exist_ok=True)
     warnings.simplefilter("ignore")
     for model, settings in (("dvd", None), ("ded", FAST)):
         dev_builtin = max_deviation(builtin_params(model), model, EVAL_GRID, settings=settings)

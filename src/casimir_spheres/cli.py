@@ -32,21 +32,13 @@ from .geometry import (PLANE, ReducedGeometry, SphereGeometry, free_energy_si,
                        from_invariants, reduce)
 from .electrolyte import (QuadratureSettings, RoundTripMatrixSpec,
                           det_roundtrip_matrix, det_roundtrip_transfer)
-from .models import MODELS as _REGISTRY, get_model
+from .models import APPROX_MODELS, MODELS as _REGISTRY, get_model
 from .rational import (FitResult, builtin_params, f_approx, max_deviation,
                        phi_u, refit)
 from .validation import f_roundtrip_planewave
 
 MODELS = tuple(_REGISTRY)
 QUANTITIES = ("f", "f1", "phi", "ratio_u_over_quarter", "phi_over_quarter", "f_approx")
-
-_CONFIG_KEYS = {
-    "compute": {"L", "R1", "R2", "plane", "y", "u", "model", "T", "tol", "rmax", "seed"},
-    "curve": {"model", "quantity", "u", "ymin", "ymax", "points", "log", "linear",
-              "tol", "rmax", "seed", "out", "params"},
-    "fit": {"model", "uref", "n", "ymin", "ymax", "points", "tol", "rmax", "seed", "out"},
-    "validate": {"seed"},
-}
 
 
 def _fail(msg: str, code: int = 2):
@@ -99,12 +91,16 @@ def _check_grid(args):
         _fail("need 0 < ymin < ymax (as y-1) and points >= 2")
 
 
-def _read_params(path):
+def _read_params(path, models):
     try:
         with open(path, encoding="utf-8") as fh:
-            return FitResult.from_json(fh.read()).params
+            params = FitResult.from_json(fh.read()).params
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _fail(f"cannot read parameters from {path}: {type(exc).__name__}: {exc}")
+    if set(models) != {params.model_tag}:
+        _fail(f"cannot read parameters from {path}: fitted for {params.model_tag!r}, "
+              f"not {'/'.join(models)}")
+    return params
 
 
 def cmd_compute(args) -> int:
@@ -168,12 +164,10 @@ def cmd_curve(args) -> int:
 
     params = {}
     if args.quantity == "f_approx":
-        if "scalar" in models:
-            _fail("f_approx is defined for dvd and ded only")
-        if args.params == "builtin":
-            params = {model: builtin_params(model) for model in models}
-        else:
-            params = dict.fromkeys(models, _read_params(args.params))
+        # builtin_params raises DomainError (exit 2) for a model without an approximant
+        params = {model: builtin_params(model) for model in models}
+        if args.params != "builtin":
+            params = dict.fromkeys(models, _read_params(args.params, models))
 
     # every distinct (model, y, u) total is evaluated once; the ratio
     # quantities share the u = 1/4 reference across their u values
@@ -220,8 +214,6 @@ def cmd_curve(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.model not in ("dvd", "ded"):
-        _fail("fit supports --model dvd or ded")
     if args.n < 1:
         _fail(f"--n must be >= 1, got {args.n}")
     if not 0.0 <= args.uref <= 0.25:
@@ -238,8 +230,8 @@ def cmd_fit(args) -> int:
     print(f"  nu = {list(result.params.nu)}")
     print(f"  mu = {list(result.params.mu)}")
     print(f"  epsilon (fit grid) = {result.epsilon:.3e}")
-    if args.n == builtin_params(args.model).n:
-        pb = builtin_params(args.model)
+    pb = builtin_params(args.model)
+    if args.n == pb.n:
         dev_b = max_deviation(pb, args.model, [(y, args.uref) for y in grid],
                               settings=_settings(args))
         print(f"  built-in parameters on the same grid: epsilon = {dev_b:.3e}")
@@ -286,6 +278,36 @@ def cmd_validate(args) -> int:
     return 0 if failures == 0 else 1
 
 
+class _Config(argparse.Action):
+    """``--config FILE``: the file's values become the subcommand's defaults.
+
+    Keys are the subcommand's dests.  Values other than a switch's
+    true/false go in as text, which argparse converts and checks on the
+    next parse; applying the file only once keeps them the very objects
+    argparse put into the namespace, which it needs to convert them.
+    """
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        namespace.config = path
+        if parser.get_default("config") == path:
+            return
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read config {path}: {exc}")
+        if not isinstance(doc, dict):
+            parser.error("config must be a JSON object of flag values")
+        unknown = set(doc) - (set(vars(namespace)) - {"command", "func", "config"})
+        if unknown:
+            parser.error(f"unknown config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            if isinstance(value, bool) != isinstance(parser.get_default(key), bool):
+                parser.error(f"config key {key!r}: invalid value {value!r}")
+        parser.set_defaults(config=path, **{key: value if isinstance(value, bool) else str(value)
+                                            for key, value in doc.items()})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casimir-spheres",
@@ -300,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rmax", type=int, default=5,
                        help="cap on explicitly integrated round-trip orders")
         p.add_argument("--seed", type=int, default=0, help="quadrature scramble seed")
-        p.add_argument("--config", type=str, default=None,
+        p.add_argument("--config", action=_Config, default=None,
                        help="JSON file with defaults for this command (flags win)")
 
     pc = sub.add_parser("compute", help="evaluate one geometry")
@@ -334,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_curve)
 
     pf = sub.add_parser("fit", help="refit the rational approximant")
-    pf.add_argument("--model", choices=("dvd", "ded"), required=True)
+    pf.add_argument("--model", choices=APPROX_MODELS, required=True)
     pf.add_argument("--uref", type=float, default=0.1)
     pf.add_argument("--n", type=int, default=2, help="model order")
     pf.add_argument("--ymin", type=float, default=1e-2)
@@ -350,45 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser, argv, args):
-    if args.config is None:
-        return args
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(f"cannot read config {args.config}: {exc}")
-    if not isinstance(doc, dict):
-        _fail("config must be a JSON object of flag values")
-    allowed = _CONFIG_KEYS.get(args.command, set()) | {"tol", "rmax", "seed"}
-    unknown = set(doc) - allowed
-    if unknown:
-        _fail(f"unknown config keys for {args.command}: {sorted(unknown)}")
-    # config provides defaults; explicit flags win
-    given = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            given.add(tok[2:].split("=", 1)[0])
-    for key, value in doc.items():
-        if key in given:
-            continue
-        if not hasattr(args, key):
-            _fail(f"config key {key!r} is not a flag of {args.command}")
-        expected = type(parser.get_default(key) if parser.get_default(key) is not None
-                        else value)
-        if expected in (int, float) and isinstance(value, (int, float)):
-            value = expected(value)
-        elif not isinstance(value, expected) and parser.get_default(key) is not None:
-            _fail(f"config key {key!r} should be {expected.__name__}")
-        setattr(args, key, value)
-    return args
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config(parser, argv, args)
+    if args.config is not None:
+        # the config's values are now the subcommand's defaults; parse
+        # again so that argparse converts them and explicit flags win
+        args = parser.parse_args(argv)
     args.invocation = argv
     try:
         return args.func(args)

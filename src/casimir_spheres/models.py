@@ -2,9 +2,10 @@
 
 Every model provides the same three things: the total reduced free
 energy ``f``, the closed-form single round trip ``f1`` and the
-plane-wave reflection kernel the validation oracle integrates.  Code
-that works for any model looks the model up here by name instead of
-branching on it.
+plane-wave reflection kernel the validation oracle integrates.  The
+two electromagnetic models also carry the built-in parameters of the
+rational approximant.  Code that works for any model looks the model
+up here by name instead of branching on it.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .scalar import f_sc_roundtrip, f_sc_total
 from .validation import (DIELECTRIC_ELECTROLYTE, DRUDE_VACUUM, SCALAR,
                          ReflectionModel)
 
-__all__ = ["Model", "MODELS", "get_model"]
+__all__ = ["Model", "MODELS", "APPROX_MODELS", "get_model"]
 
 
 @dataclass(frozen=True)
@@ -31,13 +32,16 @@ class Model:
     defaults of the underlying function, ``f1(red)`` is the single round
     trip and ``reflection`` the oracle's kernel.  ``tol_cap`` caps the
     tolerance the CLI passes to ``total``: the exact series are cheap, so
-    they are always summed to 1e-10 or tighter.
+    they are always summed to 1e-10 or tighter.  ``approx`` holds the
+    built-in ``(nu, mu)`` of the rational approximant, or ``None`` when
+    the model has none.
     """
 
     total: Callable[..., ValueWithError]
     f1: Callable[..., float]
     reflection: ReflectionModel
     tol_cap: float = math.inf
+    approx: tuple | None = None
 
 
 def _series_total(fn):
@@ -49,9 +53,13 @@ def _series_total(fn):
 
 MODELS = {
     "scalar": Model(_series_total(f_sc_total), partial(f_sc_roundtrip, r=1), SCALAR, 1e-10),
-    "dvd": Model(_series_total(f_dvd_total), f1_dvd, DRUDE_VACUUM, 1e-10),
-    "ded": Model(f_ded_total, f1_ded, DIELECTRIC_ELECTROLYTE),
+    "dvd": Model(_series_total(f_dvd_total), f1_dvd, DRUDE_VACUUM, 1e-10,
+                 approx=((0.011495, 0.19868), (0.011359, 0.16728))),
+    "ded": Model(f_ded_total, f1_ded, DIELECTRIC_ELECTROLYTE,
+                 approx=((0.004618, 0.09639), (0.004415, 0.08397))),
 }
+
+APPROX_MODELS = tuple(name for name, m in MODELS.items() if m.approx is not None)
 
 
 def get_model(name: str) -> Model:

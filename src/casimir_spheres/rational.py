@@ -26,7 +26,7 @@ from scipy.optimize import least_squares
 from .errors import DomainError, FitError
 from .geometry import ReducedGeometry, from_invariants
 from .electrolyte import QuadratureSettings
-from .models import get_model
+from .models import APPROX_MODELS, MODELS, get_model
 
 __all__ = [
     "RationalModelParams",
@@ -56,7 +56,8 @@ class RationalModelParams:
     mu : tuple of float
         n positive pole parameters.
     model_tag : str
-        Which model the parameters were fitted for: "dvd" or "ded".
+        Which model the parameters were fitted for; its registry entry
+        must carry an approximant.
     """
 
     n: int
@@ -71,8 +72,8 @@ class RationalModelParams:
             raise DomainError("nu and mu must each hold n values")
         if any(v <= 0 for v in self.nu) or any(v <= 0 for v in self.mu):
             raise DomainError("all nu_k and mu_k must be positive")
-        if self.model_tag not in ("dvd", "ded"):
-            raise DomainError(f"model_tag must be 'dvd' or 'ded', got {self.model_tag!r}")
+        if self.model_tag not in APPROX_MODELS:
+            raise DomainError(f"model_tag must be one of {APPROX_MODELS}, got {self.model_tag!r}")
 
     @property
     def contact_value(self) -> float:
@@ -83,21 +84,19 @@ class RationalModelParams:
         return out
 
 
-# built-in n = 2 parameters for the two electromagnetic models
-DVD_PARAMS = RationalModelParams(
-    n=2, nu=(0.011495, 0.19868), mu=(0.011359, 0.16728), model_tag="dvd"
-)
-DED_PARAMS = RationalModelParams(
-    n=2, nu=(0.004618, 0.09639), mu=(0.004415, 0.08397), model_tag="ded"
-)
+# built-in parameters, as the model registry declares them: (n, nu, mu, tag)
+_BUILTIN = {name: RationalModelParams(len(MODELS[name].approx[0]), *MODELS[name].approx, name)
+            for name in APPROX_MODELS}
+DVD_PARAMS = _BUILTIN["dvd"]
+DED_PARAMS = _BUILTIN["ded"]
 
 
 def builtin_params(model: str) -> RationalModelParams:
-    if model == "dvd":
-        return DVD_PARAMS
-    if model == "ded":
-        return DED_PARAMS
-    raise DomainError(f"no built-in parameters for model {model!r}")
+    """Built-in parameters of ``model``; :class:`DomainError` if it has none."""
+    try:
+        return _BUILTIN[model]
+    except (KeyError, TypeError):
+        raise DomainError(f"no built-in parameters for model {model!r}") from None
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def refit(
     Parameters
     ----------
     model : str
-        "dvd" or "ded".
+        A model with built-in parameters (see :func:`builtin_params`).
     u_ref : float
         Radius-ratio parameter the reference curve is computed at.
     n : int
@@ -222,8 +221,7 @@ def refit(
     -------
     FitResult
     """
-    if model not in ("dvd", "ded"):
-        raise DomainError(f"refit supports 'dvd' and 'ded', got {model!r}")
+    builtin = builtin_params(model)
     if n < 1:
         raise DomainError(f"model order must be >= 1, got {n}")
     if grid is None:
@@ -236,14 +234,12 @@ def refit(
 
     if x0 is not None and x0.n == n:
         start = np.log(np.array(list(x0.nu) + list(x0.mu)))
+    elif builtin.n == n:
+        start = np.log(np.array(list(builtin.nu) + list(builtin.mu)))
     else:
-        builtin = builtin_params(model)
-        if builtin.n == n:
-            start = np.log(np.array(list(builtin.nu) + list(builtin.mu)))
-        else:
-            # geometric ladder between the built-in extremes
-            ladder = np.geomspace(builtin.nu[0], builtin.nu[-1], n)
-            start = np.log(np.concatenate([ladder, ladder * 0.9]))
+        # geometric ladder between the built-in extremes
+        ladder = np.geomspace(builtin.nu[0], builtin.nu[-1], n)
+        start = np.log(np.concatenate([ladder, ladder * 0.9]))
     if seed:
         rng = np.random.default_rng(seed)
         start = start + rng.uniform(-0.2, 0.2, size=start.size)
@@ -307,9 +303,7 @@ def f_approx(red: ReducedGeometry, model: str,
     """Fast approximant: closed-form single round trip times phi_rm.
 
     Accurate to the parameters' epsilon relative to the full sum.
+    Raises :class:`DomainError` for a model without an approximant.
     """
-    if params is None:
-        params = builtin_params(model)
-    if model not in ("dvd", "ded"):
-        raise DomainError(f"f_approx supports 'dvd' and 'ded', got {model!r}")
-    return get_model(model).f1(red) * phi_rm(red.y, params)
+    builtin = builtin_params(model)
+    return get_model(model).f1(red) * phi_rm(red.y, builtin if params is None else params)

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from casimir_spheres import cli
 from casimir_spheres.cli import main
 
 
@@ -108,16 +109,45 @@ def test_config_file_flag_precedence(tmp_path, capsys):
                  "--out", str(out_path)]) == 0
     rows = out_path.read_text().splitlines()[4:]
     assert len(rows) == 2
+    # --linear beats a config "log", although both set the same dest
+    cfg.write_text(json.dumps({"log": True}))
+    assert main(["curve", "--model", "scalar", "--quantity", "f1", "--linear",
+                 "--config", str(cfg), "--ymin", "1", "--ymax", "9", "--points", "3",
+                 "--out", str(out_path)]) == 0
+    ys = [r.split(",")[0] for r in out_path.read_text().splitlines()[4:]]
+    assert ys == ["1", "5", "9"]
     capsys.readouterr()
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    with pytest.raises(SystemExit) as exc:
-        main(["curve", "--model", "scalar", "--config", str(cfg)])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    # unknown keys, and values that the key's flag does not accept
+    for command, doc, word in [("curve", {"bogus": 1}, "bogus"),
+                               ("curve", {"linear": True}, "linear"),
+                               ("curve", {"points": 3.5}, "--points"),
+                               ("curve", {"tol": "x"}, "--tol"),
+                               ("compute", {"tol": "x"}, "--tol"),
+                               ("compute", {"plane": 1}, "plane")]:
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "scalar", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert word in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compute", "curve", "fit", "validate"])
+def test_config_accepts_every_flag(tmp_path, monkeypatch, command):
+    seen = {}
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.update(vars(args)) or 0)
+    argv = [command, "--model", "dvd"] if command == "fit" else [command]
+    defaults = vars(cli.build_parser().parse_args(argv))
+    doc = {key: 1 if value is None else value for key, value in defaults.items()
+           if key not in ("command", "func", "config")}
+    cfg = tmp_path / "all.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert set(doc) <= set(seen)
+    assert all(seen[key] == value for key, value in doc.items() if defaults[key] is not None)
 
 
 def test_fit_rejects_bad_order(capsys):
@@ -163,7 +193,8 @@ def test_fit_rejects_bad_grid(grid, capsys):
     assert "ymin" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [None, "not json", json.dumps({"model": "dvd", "n": 2})])
+@pytest.mark.parametrize("content", [None, "not json", json.dumps({"model": "dvd", "n": 2}),
+                                     json.dumps({"model": "ded", "n": 1, "nu": [1.0], "mu": [1.0]})])
 def test_curve_f_approx_rejects_bad_params_file(tmp_path, capsys, content):
     params = tmp_path / "p.json"
     if content is not None:

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casimir_spheres.cli import build_parser
 from casimir_spheres.electrolyte import QuadratureSettings
 from casimir_spheres.errors import DomainError
 from casimir_spheres.geometry import from_invariants
+from casimir_spheres.models import MODELS
 from casimir_spheres.rational import (DED_PARAMS, DVD_PARAMS, FitResult,
                                       RationalModelParams, builtin_params,
                                       default_fit_grid, f_approx,
@@ -156,3 +158,22 @@ def test_builtin_params_lookup():
     assert builtin_params("ded") is DED_PARAMS
     with pytest.raises(DomainError):
         builtin_params("scalar")
+    with pytest.raises(DomainError):
+        f_approx(from_invariants(2.0, 0.1), "scalar", DVD_PARAMS)
+    # built-in parameters, registry approximants and fit choices name the same models
+    with_approx = {name for name, m in MODELS.items() if m.approx is not None}
+    assert with_approx
+    for name in with_approx:
+        assert builtin_params(name).model_tag == name
+    for name in set(MODELS) - with_approx:
+        with pytest.raises(DomainError):
+            builtin_params(name)
+
+    def fit_accepts(name):
+        try:
+            build_parser().parse_args(["fit", "--model", name])
+        except SystemExit:
+            return False
+        return True
+
+    assert {name for name in MODELS if fit_accepts(name)} == with_approx
