@@ -114,6 +114,8 @@ def cmd_compute(args) -> int:
     for model in models:
         f, err = _total(model, red, args)
         f1 = get_model(model).f1(red)
+        if f1 == 0.0:
+            _fail(f"model={model}: f1 = 0 at y = {red.y:.6g}, so phi = f/f1 is undefined", 3)
         line = f"model={model}: f1 = {f1:.12g}  f = {f:.12g}"
         if err:
             line += f" +- {err:.2g}"
@@ -149,8 +151,6 @@ def _curve_point(model, quantity, y, u, totals, params):
 
 def cmd_curve(args) -> int:
     models = MODELS if args.model == "all" else (args.model,)
-    if args.quantity not in QUANTITIES:
-        _fail(f"unknown quantity {args.quantity!r}; choose from {QUANTITIES}")
     try:
         u_values = [float(tok) for tok in str(args.u).split(",")]
     except ValueError:
@@ -185,9 +185,14 @@ def cmd_curve(args) -> int:
     with ThreadPoolExecutor(max_workers=_threads()) as pool:
         totals = dict(zip(keys, pool.map(run, keys)))
 
+    def point(model, y, u):
+        try:
+            return _curve_point(model, args.quantity, y, u, totals, params.get(model))
+        except ZeroDivisionError:  # f1 or the u = 1/4 total is 0 at this y
+            return math.nan, math.nan
+
     rows = sorted(
-        ((model, args.quantity, u, y,
-          *_curve_point(model, args.quantity, y, u, totals, params.get(model)))
+        ((model, args.quantity, u, y, *point(model, y, u))
          for model in models for u in u_values for y in ys),
         key=lambda r: (r[0], r[1], r[2], r[3]),
     )
@@ -214,6 +219,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.model is None:
+        _fail("fit needs --model, on the command line or in --config")
     if args.n < 1:
         _fail(f"--n must be >= 1, got {args.n}")
     if not 0.0 <= args.uref <= 0.25:
@@ -285,6 +292,8 @@ class _Config(argparse.Action):
     true/false go in as text, which argparse converts and checks on the
     next parse; applying the file only once keeps them the very objects
     argparse put into the namespace, which it needs to convert them.
+    argparse checks no ``choices`` on defaults, so they are checked here,
+    before any command runs.
     """
 
     def __call__(self, parser, namespace, path, option_string=None):
@@ -301,9 +310,13 @@ class _Config(argparse.Action):
         unknown = set(doc) - (set(vars(namespace)) - {"command", "func", "config"})
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
+        choices = {action.dest: action.choices for action in parser._actions}
         for key, value in doc.items():
             if isinstance(value, bool) != isinstance(parser.get_default(key), bool):
                 parser.error(f"config key {key!r}: invalid value {value!r}")
+            if choices[key] is not None and str(value) not in map(str, choices[key]):
+                parser.error(f"config key {key!r}: invalid choice {value!r} "
+                             f"(choose from {', '.join(map(str, choices[key]))})")
         parser.set_defaults(config=path, **{key: value if isinstance(value, bool) else str(value)
                                             for key, value in doc.items()})
 
@@ -356,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_curve)
 
     pf = sub.add_parser("fit", help="refit the rational approximant")
-    pf.add_argument("--model", choices=APPROX_MODELS, required=True)
+    pf.add_argument("--model", choices=APPROX_MODELS, default=None)
     pf.add_argument("--uref", type=float, default=0.1)
     pf.add_argument("--n", type=int, default=2, help="model order")
     pf.add_argument("--ymin", type=float, default=1e-2)

@@ -15,10 +15,21 @@ For the plane-sphere case the 2r-dimensional form degenerates; the limit
 is taken analytically and yields the same structure on an r-dimensional
 cyclic chain with uniform coupling coefficient 1/(2y), which is what the
 plane branch of the engine evaluates.
+
+The tensor groups are integrated on one mask per symmetry orbit.  The
+ring determinant is unchanged by the dihedral maps i -> (+-i + k) mod n
+of its links that leave the link coefficients unchanged: the 2r maps
+that keep the alternation of two spheres, all 2n for the plane chain
+and equal radii.  Every free dimension of a tensor group uses the same
+1-D rule, so all masks of an orbit have the same integral, and one
+representative weighted by the orbit size stands for them.  The group
+is read off the coefficients, so there is no setting for it.  The QMC
+groups keep every mask, with the same points and seeds.
 """
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,7 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.stats import qmc
 
-from .errors import AccuracyWarning, DomainError, QuadratureError
+from .errors import AccuracyWarning, ConvergenceError, DomainError, QuadratureError
 from .geometry import ReducedGeometry, from_invariants
 from .scalar import _roundtrip_terms, f_sc_roundtrip, f_sc_total
 
@@ -49,6 +60,8 @@ __all__ = [
 _TENSOR_GROUP_BUDGET = 2**23
 _QMC_GROUP_BUDGET = 2**23
 _CHUNK_ROWS = 2**20
+# above this y the intermediate 4 y^4 of the two-sphere f1 closed form overflows
+_F1_YMAX = (sys.float_info.max / 8.0) ** 0.25
 
 
 @dataclass(frozen=True)
@@ -212,11 +225,15 @@ def f1_ded(red: ReducedGeometry) -> float:
     Cancellation-free at large y: the logarithm argument is written as
     log1p of an exactly reduced rational expression and the radius-ratio
     terms use an arctanh form whose 1-x part is evaluated analytically.
+    Raises :class:`ConvergenceError` for two spheres at y > 6.9e76,
+    where the closed form overflows.
     """
     y = red.y
     f1sc = y / (4.0 * (y * y - 1.0))
     if red.is_plane:
         return 0.25 * y * (1.0 / (y * y - 1.0) + math.log1p(-1.0 / (y * y)))
+    if y > _F1_YMAX:
+        raise ConvergenceError(f"f1_ded: the closed form overflows at y = {y:.3g} > {_F1_YMAX:.3g}")
     z = red.z
     # z^2 (y^2-1) / (yz + 1/2)^2 = 1 - (z^2 + yz + 1/4)/(yz + 1/2)^2 exactly
     den = y * z + 0.5
@@ -295,53 +312,85 @@ def _group_dets(coefs, col_idx, t_nodes, sigma):
     return _det_chain(coups, sigma)
 
 
-def _masks_for(n_links: int, d: int) -> np.ndarray:
-    """col_idx arrays for every choice of d free links out of n_links."""
-    combos = list(combinations(range(n_links), d))
-    col_idx = np.full((len(combos), n_links), -1, dtype=np.int64)
-    for m, free in enumerate(combos):
-        for k, i in enumerate(free):
-            col_idx[m, i] = k
-    return col_idx
+def _link_symmetries(coefs) -> tuple:
+    """Dihedral maps of the ring's links that leave ``coefs`` unchanged.
+
+    Each map is a tuple p sending link i to p[i] = (+-i + k) mod n.  The
+    ring determinant depends on its couplings only through the ring's
+    matchings and the product of all links, both unchanged when the links
+    are relabelled along the ring, so every map kept here leaves it
+    unchanged.  Alternating coefficients (two spheres) keep the 2r maps
+    with even k, equal ones (plane chain, equal radii) all 2n.
+    """
+    n = len(coefs)
+    maps = {tuple((s * i + k) % n for i in range(n)) for s in (1, -1) for k in range(n)}
+    return tuple(sorted(p for p in maps if all(coefs[j] == c for j, c in zip(p, coefs))))
 
 
-def _group_sums(coefs, col_idx, node_sets, sigma) -> list:
+@lru_cache(maxsize=256)
+def _masks_for(n_links: int, d: int, group: tuple) -> tuple:
+    """One mask per orbit of the d-subsets of free links under ``group``.
+
+    Returns (col_idx, mult).  col_idx[m, i] is the free-dimension column
+    feeding link i of representative m, or -1 when the link is pinned at
+    t = 1; mult[m] is the size of its orbit.  Under the identity alone
+    every mask is its own orbit, in ``combinations`` order.
+    """
+    reps, mult, seen = [], [], set()
+    for free in combinations(range(n_links), d):
+        if free not in seen:
+            orbit = {tuple(sorted(p[i] for i in free)) for p in group}
+            seen |= orbit
+            reps.append(free)
+            mult.append(len(orbit))
+    col_idx = np.full((len(reps), n_links), -1, dtype=np.int64)
+    for m, free in enumerate(reps):
+        col_idx[m, list(free)] = np.arange(d)
+    mult = np.array(mult, dtype=float)
+    col_idx.flags.writeable = mult.flags.writeable = False
+    return col_idx, mult
+
+
+def _group_sums(coefs, masks, node_sets, sigma) -> list:
     """Sum of weights/det over all masks and nodes, per (t_nodes, weights) set.
 
-    All sets of a group come in one call, so one set's determinants are
-    freed only once the next set's exist; freeing them between calls made
-    glibc return heap pages and fault them back in (1.7x the page faults,
-    6 % slower f_ded_total at y = 1.1, u = 0.1 on a 2-core Xeon VM).
+    ``masks`` is a (col_idx, mult) pair from :func:`_masks_for`; each
+    mask's sum counts ``mult`` times.  All sets of a group come in one
+    call, so one set's determinants are freed only once the next set's
+    exist; freeing them between calls made glibc return heap pages and
+    fault them back in (1.7x the page faults, 6 % slower f_ded_total at
+    y = 1.1, u = 0.1 on a 2-core Xeon VM).
     """
+    col_idx, mult = masks
     totals = []
     for t_nodes, weights in node_sets:
         total = 0.0
         step = max(1, _CHUNK_ROWS // t_nodes.shape[0])
         for lo in range(0, col_idx.shape[0], step):
             dets = _group_dets(coefs, col_idx[lo:lo + step], t_nodes, sigma)
-            total += float(((1.0 / dets) @ weights).sum())
+            total += float((mult[lo:lo + step] * ((1.0 / dets) @ weights)).sum())
         totals.append(total)
     return totals
 
 
-def _tensor_group(coefs, col_idx, d, order, sigma) -> float:
+def _tensor_group(coefs, masks, d, order, sigma) -> float:
     t1, w1 = _gl_rule(order)
     grids = np.meshgrid(*([t1] * d), indexing="ij")
     t_nodes = np.stack([g.ravel() for g in grids], axis=1)
     wflat = np.ones(1)
     for _ in range(d):
         wflat = np.multiply.outer(wflat, w1).ravel()
-    return _group_sums(coefs, col_idx, [(t_nodes, wflat)], sigma)[0]
+    return _group_sums(coefs, masks, [(t_nodes, wflat)], sigma)[0]
 
 
-def _qmc_group(coefs, col_idx, d, npts, seed_key, sigma) -> tuple:
+def _qmc_group(coefs, masks, d, npts, seed_key, sigma) -> tuple:
     """Scrambled-Sobol group integral; returns (value, error estimate)."""
     n_rep = 4
     m = max(8, int(math.log2(max(npts // n_rep, 256))))
     seeds = (np.random.SeedSequence(entropy=seed_key + (k,)).generate_state(1)[0]
              for k in range(n_rep))
     sets = (_qmc_map(qmc.Sobol(d=d, scramble=True, seed=int(s)).random_base2(m)) for s in seeds)
-    reps = np.array(_group_sums(coefs, col_idx, sets, sigma)) / 2**m
+    reps = np.array(_group_sums(coefs, masks, sets, sigma)) / 2**m
     value = float(reps.mean())
     err = float(reps.std(ddof=1) / math.sqrt(n_rep))
     return value, err
@@ -358,23 +407,32 @@ def _roundtrip_correction(red: ReducedGeometry, r: int, settings: QuadratureSett
     if red.is_plane:
         n_links = r
         coefs = np.full(r, 1.0 / (2.0 * red.y))
-        prefac = 0.25 / r / (2.0 * red.y) ** r
+        scale = 2.0 * red.y
     else:
         n_links = 2 * r
         coefs = _link_coefficients(red, r)
-        prefac = 0.25 / r / red.z ** r
+        scale = red.z
+    try:
+        prefac = 0.25 / r / scale ** r
+    except OverflowError:
+        prefac = 0.0  # scale**r exceeds the largest double, the prefactor underflows
+    # a tensor rule integrates every mask of an orbit alike, so one
+    # representative per orbit does; the Gauss order still follows the
+    # full mask count, and the QMC groups keep every mask and their points
+    group = _link_symmetries(coefs)
+    identity = (tuple(range(n_links)),)
     total = 0.0
     err = 0.0
     for s_idx, sigma in enumerate((+1, -1)):
         for d in range(1, n_links + 1):
-            col_idx = _masks_for(n_links, d)
-            n_masks = col_idx.shape[0]
+            n_masks = math.comb(n_links, d)
             if d <= settings.dim_switch:
                 order = settings.nodes_per_dim
                 while order > 6 and n_masks * order**d > _TENSOR_GROUP_BUDGET:
                     order -= 2
-                v_hi = _tensor_group(coefs, col_idx, d, order, sigma)
-                v_lo = _tensor_group(coefs, col_idx, d, max(4, order // 2), sigma)
+                masks = _masks_for(n_links, d, group)
+                v_hi = _tensor_group(coefs, masks, d, order, sigma)
+                v_lo = _tensor_group(coefs, masks, d, max(4, order // 2), sigma)
                 total += v_hi
                 err += abs(v_hi - v_lo)
             else:
@@ -382,7 +440,7 @@ def _roundtrip_correction(red: ReducedGeometry, r: int, settings: QuadratureSett
                 while npts > 2**10 and n_masks * npts > _QMC_GROUP_BUDGET:
                     npts //= 2
                 v, e = _qmc_group(
-                    coefs, col_idx, d, npts,
+                    coefs, _masks_for(n_links, d, identity), d, npts,
                     (settings.seed, r, s_idx, d, int(red.is_plane)), sigma,
                 )
                 total += v
@@ -460,6 +518,16 @@ def _plane_eta_sequence(y: float, r_from: int, settings: QuadratureSettings) -> 
     return out
 
 
+def _rho_ratio(rho: dict, r: int) -> float:
+    """Decay rho(r)/rho(r-1) of the ratio to the scalar series.
+
+    rho(r) itself where there is no order r-1 or its rho is 0, as at
+    large y where f1 has lost all its digits.
+    """
+    prev = rho.get(r - 1, 0.0)
+    return rho[r] / prev if prev != 0.0 else rho[r]
+
+
 def _tail_sum(red, r_start, eta_of_k, err_of_k, stop_below):
     """Accumulate -eta(r) f_sc^(r) and its uncertainty for r > r_start."""
     tail_corr = 0.0
@@ -535,11 +603,12 @@ def f_ded_total(
         # more than the budget; once rho decays geometrically the miss
         # is bounded by a few times the projected value scale
         if r_last >= 2:
-            decay = min(1.0, rho[r_last] / rho[r_last - 1])
+            decay = min(1.0, _rho_ratio(rho, r_last))
             scale = min(1.0, 3.0 * rho[r_last] * decay)
         else:
             scale = 1.0
-        if fsc_r * scale < 0.25 * budget:
+        # fsc_r = 0: this order and all later ones underflow
+        if fsc_r == 0.0 or fsc_r * scale < 0.25 * budget:
             break
         corr, err = _roundtrip_correction(red, r, settings)
         corr_sum += corr
@@ -578,11 +647,7 @@ def f_ded_total(
         tail_err += te
     else:
         # weakly coupled: geometric extrapolation of rho itself
-        if r_last >= 2 and rho[r_last - 1] != 0.0:
-            q = rho[r_last] / rho[r_last - 1]
-        else:
-            q = rho_last
-        q = min(max(q, 0.0), 1.0)
+        q = min(max(_rho_ratio(rho, r_last), 0.0), 1.0)
         tc, te = _tail_sum(
             red, r_last,
             lambda k: 1.0 - rho_last * q ** k,

@@ -10,7 +10,7 @@ class DomainError(CasimirError, ValueError):
 
 
 class ConvergenceError(CasimirError, RuntimeError):
-    """A series did not converge within the configured term cap."""
+    """A series did not converge within the configured term cap, or a closed form overflowed."""
 
 
 class QuadratureError(CasimirError, RuntimeError):

@@ -109,9 +109,13 @@ class ReducedGeometry:
 
 
 def _arcosh(y: float) -> float:
-    # log1p form avoids cancellation as y -> 1
+    # log1p form avoids cancellation as y -> 1; where d (y + 1) overflows
+    # (y > 1.3e154), arcosh(y) = log(2y) to double precision
     d = y - 1.0
-    return math.log1p(d + math.sqrt(d * (y + 1.0)))
+    s = d * (y + 1.0)
+    if math.isinf(s):
+        return math.log(2.0) + math.log(y)
+    return math.log1p(d + math.sqrt(s))
 
 
 def reduce(geom: SphereGeometry) -> ReducedGeometry:

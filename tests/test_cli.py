@@ -52,6 +52,19 @@ def test_compute_rejects_conflicting_geometry(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("model", ["scalar", "dvd", "ded"])
+def test_compute_large_y_exits_cleanly(capsys, model):
+    for y in ("1e12", "1e120", "1e200"):
+        for u in ("0", "0.1", "0.25"):
+            try:
+                code = main(["compute", "--y", y, "--u", u, "--model", model])
+            except SystemExit as exc:
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), (y, u, err)
+            assert "Traceback" not in err
+
+
 def test_compute_rejects_invalid_values(capsys):
     code, _, err = run(capsys, "compute", "--y", "0.5", "--u", "0.1")
     assert code == 2
@@ -133,6 +146,31 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
             main([command, "--model", "scalar", "--config", str(cfg)])
         assert exc.value.code == 2
         assert word in capsys.readouterr().err
+
+
+def test_config_checks_choices_before_output(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"model": "bogus", "y": 2, "u": 0.1}))
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--config", str(cfg)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "bogus" in out.err
+
+
+def test_fit_model_from_config(tmp_path, capsys):
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps({"model": "dvd", "points": 20, "n": 1}))
+    assert main(["fit", "--config", str(cfg)]) == 0
+    assert "fitted n=1 parameters for dvd" in capsys.readouterr().out
+    cfg.write_text(json.dumps({"points": 20}))
+    for argv in (["fit"], ["fit", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--model" in out.err
 
 
 @pytest.mark.parametrize("command", ["compute", "curve", "fit", "validate"])

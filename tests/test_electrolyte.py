@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_spheres.electrolyte import (QuadratureSettings, RoundTripMatrixSpec,
+                                         _link_coefficients, _link_symmetries,
+                                         _masks_for, _tensor_group,
                                          det_roundtrip_matrix,
                                          det_roundtrip_transfer, f1_ded,
                                          f_ded_dipole, f_ded_roundtrip,
                                          f_ded_total)
-from casimir_spheres.errors import DomainError
+from casimir_spheres.errors import ConvergenceError, DomainError
 from casimir_spheres.geometry import from_invariants
 from casimir_spheres.scalar import ZETA3, f_sc_roundtrip
 
@@ -177,6 +179,29 @@ def test_total_ratio_band():
         assert 1.0 - 1e-3 <= r < 4.0 / 3.0
 
 
+def test_large_y_plane_total_is_finite():
+    # f1 is 0 here, so rho(1) = 0 and the stop rule's decay rho(r)/rho(r-1)
+    # divided by zero
+    for y in (1e10, 1e12):
+        assert math.isfinite(f_ded_total(from_invariants(y, 0.0)).value)
+    # (2y)**r overflows and every order r >= 2 underflows to 0
+    assert f_ded_total(from_invariants(1e200, 0.0)).value >= 0.0
+
+
+def test_large_y_roundtrip_prefactor_does_not_overflow():
+    # z**4 exceeds the largest double at z = 2e100
+    cheap = QuadratureSettings(nodes_per_dim=6, qmc_points=2**10)
+    got = f_ded_roundtrip(from_invariants(1e100, 0.25), 4, cheap)
+    assert got.value == 0.0 and got.error == 0.0
+
+
+def test_large_y_two_sphere_f1_raises_typed_error():
+    assert math.isfinite(f1_ded(from_invariants(1e76, 0.25)))
+    for y in (1e100, 1e200):
+        with pytest.raises(ConvergenceError):
+            f_ded_total(from_invariants(y, 0.25))
+
+
 def test_total_validates_inputs():
     red = from_invariants(2.0, 0.1)
     with pytest.raises(DomainError):
@@ -185,3 +210,61 @@ def test_total_validates_inputs():
         f_ded_total(red, r_max=0)
     with pytest.raises(DomainError):
         f_ded_roundtrip(red, 0)
+
+
+def _identity(n):
+    return (tuple(range(n)),)
+
+
+@pytest.mark.parametrize("coefs", [
+    *(_link_coefficients(from_invariants(1.1, u), r) for u in (0.04, 0.25) for r in (2, 3, 4, 5)),
+    *(np.full(r, 1.0 / (2.0 * 1.05)) for r in (5, 6, 7, 8)),
+], ids=lambda c: f"n{len(c)}")
+def test_orbit_reduced_tensor_groups_match_full_masks(coefs):
+    n = len(coefs)
+    group = _link_symmetries(coefs)
+    for sigma in (+1, -1):
+        for d in range(1, 5):
+            full = _tensor_group(coefs, _masks_for(n, d, _identity(n)), d, 6, sigma)
+            reduced = _tensor_group(coefs, _masks_for(n, d, group), d, 6, sigma)
+            assert reduced == pytest.approx(full, rel=1e-12, abs=0.0)
+
+
+def test_link_symmetry_group_orders():
+    for r in (2, 3, 5):
+        assert len(_link_symmetries(_link_coefficients(from_invariants(1.5, 0.1), r))) == 2 * r
+        assert len(_link_symmetries(_link_coefficients(from_invariants(1.5, 0.25), r))) == 4 * r
+        assert len(_link_symmetries(np.full(r + 2, 0.3))) == 2 * (r + 2)
+
+
+def test_orbit_multiplicities_count_every_mask():
+    for n in range(1, 15):
+        groups = [_identity(n), _link_symmetries(np.full(n, 0.3))]
+        if n % 2 == 0:
+            groups.append(_link_symmetries(np.tile([0.2, 0.3], n // 2)))
+        for group in groups:
+            for d in range(1, n + 1):
+                col_idx, mult = _masks_for(n, d, group)
+                assert mult.sum() == math.comb(n, d)
+                assert col_idx.shape == (len(mult), n)
+                assert ((col_idx >= 0).sum(axis=1) == d).all()
+
+
+def test_ring_determinant_invariant_under_link_symmetries():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        r = int(rng.integers(2, 6))
+        u = float(rng.choice([rng.uniform(0.02, 0.24), 0.25]))
+        red = from_invariants(float(rng.uniform(1.05, 4.0)), u)
+        t = rng.uniform(0.0, 1.0, 2 * r)
+        sigma = int(rng.choice((-1, 1)))
+        base = det_roundtrip_matrix(RoundTripMatrixSpec(r, tuple(t), sigma), red)
+        group = _link_symmetries(_link_coefficients(red, r))
+        for p in group:
+            moved = det_roundtrip_matrix(RoundTripMatrixSpec(r, tuple(t[list(p)]), sigma), red)
+            assert moved == pytest.approx(base, rel=1e-12, abs=0.0)
+        rot1 = tuple((i + 1) % (2 * r) for i in range(2 * r))
+        assert (rot1 in group) == (u == 0.25)
+        if u < 0.25:
+            moved = det_roundtrip_matrix(RoundTripMatrixSpec(r, tuple(t[list(rot1)]), sigma), red)
+            assert abs(moved / base - 1.0) > 1e-6

@@ -21,6 +21,14 @@ def test_equal_spheres_example():
     assert red.z == pytest.approx(9.0, rel=1e-15)
 
 
+def test_varpi_finite_at_large_y():
+    # y (y - 1) overflows above 1.3e154; arcosh(y) = log(2y) takes over there
+    for y in (1e153, 1.3e154, 1.4e154, 1e200, 1e308):
+        varpi = from_invariants(y, 0.1).varpi
+        assert math.isfinite(varpi)
+        assert varpi == pytest.approx(math.acosh(y), rel=1e-15)
+
+
 def test_contact_limit():
     red = reduce(SphereGeometry(L=1e-9, R1=1.0, R2=1.0))
     assert red.y == pytest.approx(1.0, abs=1e-8)

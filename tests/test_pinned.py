@@ -4,13 +4,20 @@ Each case below evaluates a public entry point on a small, cheap set of
 inputs and compares the results with ``data/pinned.json`` exactly
 (``float.hex`` for numbers, the full text for CSV output).  A change that
 moves any value by one ulp fails here; such a change is a change in
-accuracy and has to be argued as one, with the data file re-recorded by
+accuracy and has to be argued as one.  To see what moved, without
+writing anything, run
+
+    PYTHONPATH=src python tests/test_pinned.py --diff
+
+which prints per case "identical", the largest relative change of its
+numbers, or the changed CSV lines.  Then re-record the data file by
 
     PYTHONPATH=src python tests/test_pinned.py --record
 """
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
 import json
 import sys
@@ -126,10 +133,31 @@ def test_pinned(name, pinned):
     assert CASES[name]() == pinned[name]
 
 
+def _diff(old, new):
+    """One case's change against the pinned data, as printable text."""
+    if old == new:
+        return "identical"
+    if old is None:
+        return "not pinned"
+    if isinstance(new, str):
+        return "\n".join(difflib.unified_diff(old.splitlines(), new.splitlines(),
+                                                "pinned", "now", n=0, lineterm=""))
+    if len(old) != len(new):
+        return f"{len(old)} values pinned, {len(new)} now"
+    rel = max(abs(float.fromhex(b) / float.fromhex(a) - 1.0) if float.fromhex(a) else
+              abs(float.fromhex(b)) for a, b in zip(old, new))
+    return f"largest relative change {rel:.3e}"
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        raise SystemExit("usage: test_pinned.py --record")
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps({k: CASES[k]() for k in sorted(CASES)}, indent=1) + "\n",
-                    encoding="utf-8")
-    print(f"wrote {len(CASES)} cases to {DATA}")
+    if sys.argv[1:] == ["--record"]:
+        DATA.parent.mkdir(exist_ok=True)
+        DATA.write_text(json.dumps({k: CASES[k]() for k in sorted(CASES)}, indent=1) + "\n",
+                        encoding="utf-8")
+        print(f"wrote {len(CASES)} cases to {DATA}")
+    elif sys.argv[1:] == ["--diff"]:
+        old_data = json.loads(DATA.read_text(encoding="utf-8"))
+        for k in sorted(CASES):
+            print(f"{k}: {_diff(old_data.get(k), CASES[k]())}")
+    else:
+        raise SystemExit("usage: test_pinned.py --record | --diff")
