@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .errors import CasimirError, ConvergenceError, DomainError, FitError, QuadratureError
+from .errors import CasimirError, ConvergenceError, DomainError
 from .geometry import (PLANE, ReducedGeometry, SphereGeometry, free_energy_si,
                        from_invariants, reduce)
 from .electrolyte import (QuadratureSettings, RoundTripMatrixSpec,
@@ -112,10 +112,11 @@ def cmd_compute(args) -> int:
     if not red.is_plane:
         print(f"z      = {red.z:.12g}")
     for model in models:
-        f, err = _total(model, red, args)
         f1 = get_model(model).f1(red)
-        if f1 == 0.0:
-            _fail(f"model={model}: f1 = 0 at y = {red.y:.6g}, so phi = f/f1 is undefined", 3)
+        if not f1 > 0.0:
+            _fail(f"model={model}: f1 = {f1:.6g} at y = {red.y:.6g} is not positive, "
+                  "so phi = f/f1 is meaningless", 3)
+        f, err = _total(model, red, args)
         line = f"model={model}: f1 = {f1:.12g}  f = {f:.12g}"
         if err:
             line += f" +- {err:.2g}"
@@ -179,7 +180,7 @@ def cmd_curve(args) -> int:
         model, y, u = key
         try:
             return _total(model, from_invariants(y, u), args)
-        except (ConvergenceError, QuadratureError):
+        except ConvergenceError:
             return math.nan, math.nan
 
     with ThreadPoolExecutor(max_workers=_threads()) as pool:
@@ -227,12 +228,8 @@ def cmd_fit(args) -> int:
         _fail(f"--uref must lie in [0, 1/4], got {args.uref}")
     _check_grid(args)
     grid = 1.0 + np.logspace(math.log10(args.ymin), math.log10(args.ymax), args.points)
-    try:
-        result = refit(args.model, args.uref, n=args.n, grid=grid,
-                       settings=_settings(args), seed=args.seed)
-    except FitError as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
-        return 3
+    result = refit(args.model, args.uref, n=args.n, grid=grid,
+                   settings=_settings(args), seed=args.seed)
     print(f"fitted n={args.n} parameters for {args.model} at u_ref={args.uref}:")
     print(f"  nu = {list(result.params.nu)}")
     print(f"  mu = {list(result.params.mu)}")
@@ -330,13 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
+        p.add_argument("--seed", type=int, default=0, help="quadrature scramble seed")
+        p.add_argument("--config", action=_Config, default=None,
+                       help="JSON file with defaults for this command (flags win)")
+
+    def add_totals(p):
+        """Flags of the subcommands that sum totals: ``fit`` and ``validate`` sum none."""
         p.add_argument("--tol", type=float, default=1e-4,
                        help="relative accuracy target for summed quantities")
         p.add_argument("--rmax", type=int, default=5,
                        help="cap on explicitly integrated round-trip orders")
-        p.add_argument("--seed", type=int, default=0, help="quadrature scramble seed")
-        p.add_argument("--config", action=_Config, default=None,
-                       help="JSON file with defaults for this command (flags win)")
+        add_common(p)
 
     pc = sub.add_parser("compute", help="evaluate one geometry")
     pc.add_argument("--L", type=float, default=None, help="surface gap")
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--u", type=float, default=None, help="radius-ratio parameter in [0, 1/4]")
     pc.add_argument("--model", choices=MODELS + ("all",), default="all")
     pc.add_argument("--T", type=float, default=None, help="temperature in kelvin")
-    add_common(pc)
+    add_totals(pc)
     pc.set_defaults(func=cmd_compute)
 
     pv = sub.add_parser("curve", help="write a CSV dataset over a y grid")
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", type=str, default="-", help="output CSV path ('-' = stdout)")
     pv.add_argument("--params", type=str, default="builtin",
                     help="rational-model parameters for f_approx: 'builtin' or a JSON path")
-    add_common(pv)
+    add_totals(pv)
     pv.set_defaults(func=cmd_curve)
 
     pf = sub.add_parser("fit", help="refit the rational approximant")
@@ -399,11 +400,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, QuadratureError, FitError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except CasimirError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.stats import qmc
 
-from .errors import AccuracyWarning, ConvergenceError, DomainError, QuadratureError
+from .errors import AccuracyWarning, ConvergenceError, DomainError
 from .geometry import ReducedGeometry, from_invariants
 from .scalar import _roundtrip_terms, f_sc_roundtrip, f_sc_total
 
@@ -303,13 +303,10 @@ def _group_dets(coefs, col_idx, t_nodes, sigma):
     -------
     ndarray (n_masks, npts)
     """
-    tt = np.ascontiguousarray(t_nodes.T)  # (d, npts)
-    coups = []
-    for i, ci in enumerate(coefs):
-        col = col_idx[:, i]
-        sel = np.where(col[:, None] >= 0, tt[np.clip(col, 0, tt.shape[0] - 1), :], 1.0)
-        coups.append(ci * sel)
-    return _det_chain(coups, sigma)
+    # node table (d + 1, npts) whose last row, read by column -1, is the pinned t = 1
+    tt = np.ones((t_nodes.shape[1] + 1, t_nodes.shape[0]))
+    tt[:-1] = t_nodes.T
+    return _det_chain([ci * tt[col_idx[:, i]] for i, ci in enumerate(coefs)], sigma)
 
 
 def _link_symmetries(coefs) -> tuple:
@@ -452,7 +449,6 @@ def f_ded_roundtrip(
     red: ReducedGeometry,
     r: int,
     settings: QuadratureSettings | None = None,
-    rtol: float | None = None,
 ) -> ValueWithError:
     """Contribution of exactly r round trips.
 
@@ -462,9 +458,6 @@ def f_ded_roundtrip(
     r : int
         Round-trip order, >= 1.
     settings : QuadratureSettings, optional
-    rtol : float, optional
-        If given, raise :class:`QuadratureError` when the error estimate
-        exceeds ``rtol`` times the value.
 
     Returns
     -------
@@ -476,12 +469,7 @@ def f_ded_roundtrip(
     if settings is None:
         settings = QuadratureSettings()
     corr, err = _roundtrip_correction(red, r, settings)
-    value = f_sc_roundtrip(red, r) + corr
-    if rtol is not None and err > rtol * abs(value):
-        raise QuadratureError(
-            f"round-trip r={r}: error estimate {err:.2e} exceeds {rtol:.1e} x |{value:.6e}|"
-        )
-    return ValueWithError(value, err)
+    return ValueWithError(f_sc_roundtrip(red, r) + corr, err)
 
 
 # plane-case deviation sequences are reused as the tail shape for all u
@@ -539,7 +527,8 @@ def _tail_sum(red, r_start, eta_of_k, err_of_k, stop_below):
         fsc_rr = _roundtrip_terms(varpi, np.arange(r, r + 512, dtype=float))
         tail_corr -= float(np.sum(eta_of_k(k) * fsc_rr))
         tail_err += float(np.sum(err_of_k(k) * fsc_rr))
-        if fsc_rr[-1] < stop_below:
+        # <=: with stop_below = 0 (f1 = 0) the terms can only underflow to 0
+        if fsc_rr[-1] <= stop_below:
             break
         r += 512
     return tail_corr, tail_err

@@ -49,31 +49,32 @@ class RationalModelParams:
 
     Parameters
     ----------
-    n : int
-        Model order (number of factors), >= 1.
     nu : tuple of float
-        n positive zero parameters.
+        Positive zero parameters, one per factor, at least one.
     mu : tuple of float
-        n positive pole parameters.
+        Positive pole parameters, as many as ``nu``.
     model_tag : str
         Which model the parameters were fitted for; its registry entry
         must carry an approximant.
     """
 
-    n: int
     nu: tuple
     mu: tuple
     model_tag: str
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"model order must be >= 1, got {self.n}")
-        if len(self.nu) != self.n or len(self.mu) != self.n:
-            raise DomainError("nu and mu must each hold n values")
+        if not 1 <= len(self.nu) == len(self.mu):
+            raise DomainError("nu and mu must hold equally many values, at least one; "
+                              f"got {len(self.nu)} and {len(self.mu)}")
         if any(v <= 0 for v in self.nu) or any(v <= 0 for v in self.mu):
             raise DomainError("all nu_k and mu_k must be positive")
         if self.model_tag not in APPROX_MODELS:
             raise DomainError(f"model_tag must be one of {APPROX_MODELS}, got {self.model_tag!r}")
+
+    @property
+    def n(self) -> int:
+        """Model order: the number of factors, ``len(nu)``."""
+        return len(self.nu)
 
     @property
     def contact_value(self) -> float:
@@ -84,9 +85,8 @@ class RationalModelParams:
         return out
 
 
-# built-in parameters, as the model registry declares them: (n, nu, mu, tag)
-_BUILTIN = {name: RationalModelParams(len(MODELS[name].approx[0]), *MODELS[name].approx, name)
-            for name in APPROX_MODELS}
+# built-in parameters, as the model registry declares them
+_BUILTIN = {name: RationalModelParams(*MODELS[name].approx, name) for name in APPROX_MODELS}
 DVD_PARAMS = _BUILTIN["dvd"]
 DED_PARAMS = _BUILTIN["ded"]
 
@@ -111,7 +111,6 @@ class FitResult:
     epsilon: float
     grid_spec: dict = field(default_factory=dict)
     seed: int = 0
-    residual: float = 0.0
 
     def to_json(self) -> str:
         doc = {
@@ -129,11 +128,12 @@ class FitResult:
     def from_json(cls, text: str) -> "FitResult":
         doc = json.loads(text)
         params = RationalModelParams(
-            n=int(doc["n"]),
             nu=tuple(float(v) for v in doc["nu"]),
             mu=tuple(float(v) for v in doc["mu"]),
             model_tag=str(doc["model"]),
         )
+        if int(doc["n"]) != params.n:
+            raise DomainError(f"n = {doc['n']} but nu and mu hold {params.n} values")
         return cls(
             params=params,
             epsilon=float(doc.get("epsilon", math.nan)),
@@ -187,7 +187,6 @@ def refit(
     n: int = 2,
     grid: np.ndarray | None = None,
     settings: QuadratureSettings | None = None,
-    x0: RationalModelParams | None = None,
     seed: int = 0,
 ) -> FitResult:
     """Least-squares fit of the rational approximant at fixed u_ref.
@@ -195,7 +194,9 @@ def refit(
     Minimizes sum_i (phi_rm(y_i)/phi_u(y_i) - 1)^2 over log(nu_k),
     log(mu_k); the log parameterization enforces positivity.  The
     returned ``epsilon`` is the maximal deviation on the fit grid at
-    u_ref itself (use :func:`max_deviation` for a multi-u figure).
+    u_ref itself (use :func:`max_deviation` for a multi-u figure).  The
+    fit starts from the built-in parameters, or from a geometric ladder
+    between them when the order differs.
 
     Parameters
     ----------
@@ -210,9 +211,6 @@ def refit(
         [1e-2, 10].
     settings : QuadratureSettings, optional
         Numerical settings for the reference curve.
-    x0 : RationalModelParams, optional
-        Starting point; defaults to the built-in parameters (or a
-        geometric ladder when the order differs).
     seed : int
         Perturbs the starting point deterministically; useful for
         reproducibility studies.
@@ -232,9 +230,7 @@ def refit(
 
     phi_ref = np.array([phi_u(from_invariants(g, u_ref), model, settings) for g in grid])
 
-    if x0 is not None and x0.n == n:
-        start = np.log(np.array(list(x0.nu) + list(x0.mu)))
-    elif builtin.n == n:
+    if builtin.n == n:
         start = np.log(np.array(list(builtin.nu) + list(builtin.mu)))
     else:
         # geometric ladder between the built-in extremes
@@ -247,7 +243,7 @@ def refit(
     def residuals(p):
         nu = np.exp(p[:n])
         mu = np.exp(p[n:])
-        pr = RationalModelParams(n=n, nu=tuple(nu), mu=tuple(mu), model_tag=model)
+        pr = RationalModelParams(nu=tuple(nu), mu=tuple(mu), model_tag=model)
         return phi_rm(grid, pr) / phi_ref - 1.0
 
     result = least_squares(residuals, start, method="lm", xtol=1e-14, ftol=1e-14)
@@ -258,7 +254,7 @@ def refit(
         )
     nu = tuple(float(v) for v in np.exp(result.x[:n]))
     mu = tuple(float(v) for v in np.exp(result.x[n:]))
-    params = RationalModelParams(n=n, nu=nu, mu=mu, model_tag=model)
+    params = RationalModelParams(nu=nu, mu=mu, model_tag=model)
     eps = float(np.max(np.abs(phi_rm(grid, params) / phi_ref - 1.0)))
     spec = {
         "u_ref": u_ref,
@@ -266,8 +262,7 @@ def refit(
         "y_minus_1_max": float(grid.max() - 1.0),
         "points": int(grid.size),
     }
-    return FitResult(params=params, epsilon=eps, grid_spec=spec, seed=seed,
-                     residual=float(result.cost))
+    return FitResult(params=params, epsilon=eps, grid_spec=spec, seed=seed)
 
 
 def max_deviation(

@@ -5,6 +5,7 @@ import pytest
 
 from casimir_spheres import cli
 from casimir_spheres.cli import main
+from casimir_spheres.errors import FitError
 
 
 def run(capsys, *argv):
@@ -63,6 +64,17 @@ def test_compute_large_y_exits_cleanly(capsys, model):
             err = capsys.readouterr().err
             assert code in (0, 2, 3), (y, u, err)
             assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--model", "ded", "--y", "1e12", "--u", "0.1"],
+                                  ["--model", "dvd", "--y", "1e200", "--u", "0.1"]])
+def test_compute_rejects_nonpositive_f1(capsys, argv):
+    # at this y the closed form has lost every digit and changed sign
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", *argv])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert re.search(r"f1 = -[0-9.]+e-\d+ .* not positive", err), err
 
 
 def test_compute_rejects_invalid_values(capsys):
@@ -134,18 +146,30 @@ def test_config_file_flag_precedence(tmp_path, capsys):
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
-    # unknown keys, and values that the key's flag does not accept
-    for command, doc, word in [("curve", {"bogus": 1}, "bogus"),
-                               ("curve", {"linear": True}, "linear"),
-                               ("curve", {"points": 3.5}, "--points"),
-                               ("curve", {"tol": "x"}, "--tol"),
-                               ("compute", {"tol": "x"}, "--tol"),
-                               ("compute", {"plane": 1}, "plane")]:
+    # unknown keys, and values that the key's flag does not accept;
+    # fit and validate sum no totals, so they have no tol or rmax
+    for argv, doc, word in [(["curve", "--model", "scalar"], {"bogus": 1}, "bogus"),
+                            (["curve", "--model", "scalar"], {"linear": True}, "linear"),
+                            (["curve", "--model", "scalar"], {"points": 3.5}, "--points"),
+                            (["curve", "--model", "scalar"], {"tol": "x"}, "--tol"),
+                            (["compute", "--model", "scalar"], {"tol": "x"}, "--tol"),
+                            (["compute", "--model", "scalar"], {"plane": 1}, "plane"),
+                            (["fit", "--model", "dvd"], {"tol": 1e-6}, "tol"),
+                            (["validate"], {"rmax": 3}, "rmax")]:
         cfg.write_text(json.dumps(doc))
         with pytest.raises(SystemExit) as exc:
-            main([command, "--model", "scalar", "--config", str(cfg)])
+            main([*argv, "--config", str(cfg)])
         assert exc.value.code == 2
         assert word in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["fit", "--model", "dvd", "--tol", "1e-6"],
+                                  ["validate", "--rmax", "3"]])
+def test_fit_and_validate_have_no_total_flags(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_config_checks_choices_before_output(tmp_path, capsys):
@@ -195,6 +219,15 @@ def test_fit_rejects_bad_order(capsys):
     capsys.readouterr()
 
 
+def test_fit_failure_exits_3(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise FitError("injected")
+
+    monkeypatch.setattr(cli, "refit", fail)
+    assert main(["fit", "--model", "dvd"]) == 3
+    assert "injected" in capsys.readouterr().err
+
+
 def test_fit_writes_params_json(tmp_path, capsys):
     out_path = tmp_path / "params.json"
     assert main(["fit", "--model", "dvd", "--uref", "0.1", "--n", "2",
@@ -232,7 +265,9 @@ def test_fit_rejects_bad_grid(grid, capsys):
 
 
 @pytest.mark.parametrize("content", [None, "not json", json.dumps({"model": "dvd", "n": 2}),
-                                     json.dumps({"model": "ded", "n": 1, "nu": [1.0], "mu": [1.0]})])
+                                     json.dumps({"model": "ded", "n": 1, "nu": [1.0], "mu": [1.0]}),
+                                     json.dumps({"model": "dvd", "n": 3, "nu": [1.0, 2.0],
+                                                 "mu": [1.0, 2.0]})])
 def test_curve_f_approx_rejects_bad_params_file(tmp_path, capsys, content):
     params = tmp_path / "p.json"
     if content is not None:

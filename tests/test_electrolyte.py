@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casimir_spheres import electrolyte
 from casimir_spheres.electrolyte import (QuadratureSettings, RoundTripMatrixSpec,
                                          _link_coefficients, _link_symmetries,
                                          _masks_for, _tensor_group,
@@ -14,7 +15,7 @@ from casimir_spheres.electrolyte import (QuadratureSettings, RoundTripMatrixSpec
                                          f_ded_total)
 from casimir_spheres.errors import ConvergenceError, DomainError
 from casimir_spheres.geometry import from_invariants
-from casimir_spheres.scalar import ZETA3, f_sc_roundtrip
+from casimir_spheres.scalar import ZETA3, _roundtrip_terms, f_sc_roundtrip
 
 
 def test_matrix_spec_validation():
@@ -186,6 +187,20 @@ def test_large_y_plane_total_is_finite():
         assert math.isfinite(f_ded_total(from_invariants(y, 0.0)).value)
     # (2y)**r overflows and every order r >= 2 underflows to 0
     assert f_ded_total(from_invariants(1e200, 0.0)).value >= 0.0
+
+
+def test_large_y_zero_tail_stops_after_one_chunk(monkeypatch):
+    # f1 = 0 makes the tail's stop threshold 0; the scalar terms underflow
+    # to 0 in the first 512-order chunk, which must end the tail sum
+    chunks = []
+
+    def counted(varpi, r):
+        chunks.append(r[0])
+        return _roundtrip_terms(varpi, r)
+
+    monkeypatch.setattr(electrolyte, "_roundtrip_terms", counted)
+    assert f_ded_total(from_invariants(1e200, 0.0)).value == 0.0
+    assert len(chunks) == 1
 
 
 def test_large_y_roundtrip_prefactor_does_not_overflow():

@@ -21,12 +21,13 @@ FAST = QuadratureSettings(nodes_per_dim=12, qmc_points=2**12)
 
 
 def test_params_validation():
+    assert RationalModelParams(nu=(1.0, 2.0), mu=(3.0, 4.0), model_tag="ded").n == 2
     with pytest.raises(DomainError):
-        RationalModelParams(n=0, nu=(), mu=(), model_tag="dvd")
+        RationalModelParams(nu=(), mu=(), model_tag="dvd")
     with pytest.raises(DomainError):
-        RationalModelParams(n=1, nu=(1.0,), mu=(-1.0,), model_tag="dvd")
+        RationalModelParams(nu=(1.0,), mu=(-1.0,), model_tag="dvd")
     with pytest.raises(DomainError):
-        RationalModelParams(n=2, nu=(1.0,), mu=(1.0, 2.0), model_tag="ded")
+        RationalModelParams(nu=(1.0,), mu=(1.0, 2.0), model_tag="ded")
 
 
 def test_builtin_contact_values():
@@ -54,7 +55,7 @@ def test_phi_rm_limits():
 )
 @settings(max_examples=100)
 def test_phi_rm_positive_continuous(nu, mu, y):
-    params = RationalModelParams(n=2, nu=nu, mu=mu, model_tag="ded")
+    params = RationalModelParams(nu=nu, mu=mu, model_tag="ded")
     val = phi_rm(y, params)
     assert val > 0.0
     assert math.isfinite(val)

@@ -46,8 +46,6 @@ def test_kernel_parity():
 def test_model_validation():
     with pytest.raises(DomainError):
         ReflectionModel("metallic")
-    with pytest.raises(DomainError):
-        ReflectionModel("scalar-Dirichlet", multipole_cutoff=0)
 
 
 def test_planewave_r1_reproduces_closed_forms():
