@@ -111,12 +111,21 @@ def cmd_compute(args) -> int:
     print(f"varpi  = {red.varpi:.12g}")
     if not red.is_plane:
         print(f"z      = {red.z:.12g}")
+    failed = []
     for model in models:
-        f1 = get_model(model).f1(red)
-        if not f1 > 0.0:
-            _fail(f"model={model}: f1 = {f1:.6g} at y = {red.y:.6g} is not positive, "
-                  "so phi = f/f1 is meaningless", 3)
-        f, err = _total(model, red, args)
+        try:
+            f1 = get_model(model).f1(red)
+            if not f1 > 0.0:
+                raise ConvergenceError(f"f1 = {f1:.6g} at y = {red.y:.6g} is not positive, "
+                                       "so phi = f/f1 is meaningless")
+            f, err = _total(model, red, args)
+        except DomainError:
+            raise
+        except CasimirError as exc:
+            # report and go on: one model's failure hides no other model's line
+            print(f"error: model={model}: {exc}", file=sys.stderr)
+            failed.append(model)
+            continue
         line = f"model={model}: f1 = {f1:.12g}  f = {f:.12g}"
         if err:
             line += f" +- {err:.2g}"
@@ -125,6 +134,8 @@ def cmd_compute(args) -> int:
         if args.T is not None:
             joules, kbt, entropy = free_energy_si(f, args.T)
             print(f"  F_T = {joules:.6g} J = {kbt:.10g} k_B T   S = {entropy:.10g} k_B")
+    if failed:
+        _fail(f"no value for model {', '.join(failed)}", 3)
     return 0
 
 

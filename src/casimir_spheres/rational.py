@@ -148,14 +148,18 @@ def phi_rm(y, params: RationalModelParams):
     Written in terms of exp(-(y-1)) so it stays finite (and tends to 1)
     for arbitrarily large y.
     """
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr < 1.0):
+    scalar = isinstance(y, float) or np.ndim(y) == 0
+    y = float(y) if scalar else np.asarray(y, dtype=float)
+    if (y < 1.0) if scalar else np.any(y < 1.0):
         raise DomainError("phi_rm requires y >= 1")
-    w = np.exp(-(y_arr - 1.0))
-    out = np.ones_like(y_arr)
+    # a scalar y runs the product on floats, which skips numpy's 0-d overhead
+    w = np.exp(-(y - 1.0))
+    if scalar:
+        w = float(w)
+    out = 1.0
     for nu_k, mu_k in zip(params.nu, params.mu):
         out = out * (1.0 + (nu_k - 1.0) * w) / (1.0 + (mu_k - 1.0) * w)
-    return float(out) if np.ndim(y) == 0 else out
+    return out
 
 
 # phi_u evaluations dominate the fitting cost; a refit on the default

@@ -21,6 +21,12 @@ ZETA3 = 1.2020569031595942854
 MAX_TERMS = 10**7
 
 _CHUNK = 4096
+_HEAD = 32
+#: Candidate window ends past the head, four per octave up to 2 chunks.
+_ENDS = [round(_HEAD * 2.0 ** (k / 4)) for k in range(1, 33)]
+#: Indices of a sum's first call: the head, then one probe per window end.
+_FIRST = np.array([*range(_HEAD), *(e - 1 for e in _ENDS)], dtype=float)
+_FIRST.setflags(write=False)
 
 
 def _roundtrip_terms(varpi: float, r: np.ndarray) -> np.ndarray:
@@ -52,29 +58,57 @@ def f_sc_roundtrip(red: ReducedGeometry, r: int) -> float:
 
 
 def _series_sum(term_fn, tol: float, what: str) -> float:
-    """Sum term_fn(n) for n = 0, 1, ... until term < tol * partial sum."""
+    """Sum term_fn(n) for n = 0, 1, ... until term < tol * partial sum.
+
+    ``term_fn`` maps a float array of indices to the positive terms.  The
+    cost follows the number of terms needed, about ln(1/tol)/varpi for
+    the series in q = exp(-varpi), not a fixed chunk.  The first call
+    asks for the head (n < 32) and one probe term per candidate window
+    end.  A probe below tol times the head's sum lies at or past the
+    stopping term, so the next window ends at the first such probe.
+
+    Windows never cross a multiple of 4096.  Each 4096-term chunk keeps
+    one running sum, carried from window to window, and the total of the
+    earlier chunks is added to it; so every split of a chunk into windows
+    gives the same bits as summing the chunk at once.
+    """
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tolerance must lie in (0, 1), got {tol}")
-    total = 0.0
-    start = 0
-    while start < MAX_TERMS:
-        n = np.arange(start, start + _CHUNK, dtype=float)
-        terms = term_fn(n)
-        csum = total + np.cumsum(terms)
+    first = term_fn(_FIRST)
+    terms, probes = first[:_HEAD], first[_HEAD:]
+    end = None
+    total = carry = 0.0
+    hi = _HEAD
+    while True:
+        part = np.cumsum(np.concatenate(([carry], terms)))[1:]
+        csum = total + part
         small = np.nonzero(terms < tol * csum)[0]
         if small.size:
             return float(csum[small[0]])
-        total = float(csum[-1])
-        start += _CHUNK
-    raise ConvergenceError(f"{what} series did not converge within {MAX_TERMS} terms")
+        carry = part[-1]
+        if hi % _CHUNK == 0:
+            if hi >= MAX_TERMS:
+                raise ConvergenceError(
+                    f"{what} series did not converge within {MAX_TERMS} terms")
+            total, carry = float(csum[-1]), 0.0
+        if end is None:
+            hit = np.nonzero(probes < tol * carry)[0]
+            end = _ENDS[hit[0]] if hit.size else 0
+        lo = hi
+        hi = (lo // _CHUNK + 1) * _CHUNK
+        if lo < end < hi:
+            hi = end
+        terms = term_fn(np.arange(lo, hi, dtype=float))
 
 
 def f_sc_total(red: ReducedGeometry, tol: float = 1e-12) -> float:
     """Sum of all round-trip contributions.
 
     The series is truncated once the current term drops below ``tol``
-    times the partial sum.  The term count grows like 1/varpi near
-    contact; exceeding the cap raises :class:`ConvergenceError`.
+    times the partial sum.  Only the terms up to there are evaluated,
+    about ln(1/tol)/varpi of them: a few at large y, a count that grows
+    like 1/varpi near contact.  Exceeding the cap raises
+    :class:`ConvergenceError`.
 
     Parameters
     ----------

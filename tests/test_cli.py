@@ -77,6 +77,17 @@ def test_compute_rejects_nonpositive_f1(capsys, argv):
     assert re.search(r"f1 = -[0-9.]+e-\d+ .* not positive", err), err
 
 
+def test_compute_all_reports_every_failed_model(capsys):
+    # dvd (f1 = 0) and ded (f1 < 0) both fail here; scalar still prints
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--y", "1e12", "--u", "0.1"])
+    assert exc.value.code == 3
+    out = capsys.readouterr()
+    assert re.search(r"model=scalar: f1 = [0-9.e+-]+  f = ", out.out), out.out
+    assert re.search(r"model=dvd: f1 = .* not positive", out.err), out.err
+    assert re.search(r"model=ded: f1 = .* not positive", out.err), out.err
+
+
 def test_compute_rejects_invalid_values(capsys):
     code, _, err = run(capsys, "compute", "--y", "0.5", "--u", "0.1")
     assert code == 2

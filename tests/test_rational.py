@@ -59,6 +59,9 @@ def test_phi_rm_positive_continuous(nu, mu, y):
     val = phi_rm(y, params)
     assert val > 0.0
     assert math.isfinite(val)
+    # a scalar y runs the product on floats, with the array path's bits
+    assert type(val) is float
+    assert val.hex() == float(phi_rm(np.array([y]), params)[0]).hex()
 
 
 def test_phi_u_endpoints():

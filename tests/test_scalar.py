@@ -1,12 +1,14 @@
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casimir_spheres.errors import DomainError
+from casimir_spheres import drude, scalar
+from casimir_spheres.errors import ConvergenceError, DomainError
 from casimir_spheres.geometry import from_invariants
 from casimir_spheres.scalar import ZETA3, f_pfa, f_sc_roundtrip, f_sc_total
 
@@ -96,3 +98,82 @@ def test_total_tolerance_domain():
         f_sc_total(red, tol=0.0)
     with pytest.raises(DomainError):
         f_sc_total(red, tol=1.5)
+
+
+def _one_chunk_sum(term_fn, tol):
+    """Reference: the series loop that evaluates whole 4096-term chunks."""
+    total = 0.0
+    start = 0
+    while True:
+        terms = term_fn(np.arange(start, start + 4096, dtype=float))
+        csum = total + np.cumsum(terms)
+        small = np.nonzero(terms < tol * csum)[0]
+        if small.size:
+            return float(csum[small[0]])
+        total = float(csum[-1])
+        start += 4096
+
+
+def _term_fns(red):
+    """Term functions of the scalar, capacitance self and mutual series."""
+    captured = []
+
+    def capture(term_fn, tol, what):
+        captured.append(term_fn)
+        return 1.0
+
+    with mock.patch.object(drude, "_series_sum", capture):
+        drude.capacitance_coeffs(red)
+    self_11, self_22, mutual = captured
+    varpi = red.varpi
+    return {"scalar": lambda n: scalar._roundtrip_terms(varpi, n + 1.0),
+            "self": self_11, "self_swapped": self_22, "mutual": mutual}
+
+
+def _counted(term_fn, counter):
+    def wrapped(n):
+        counter.append(n.size)
+        return term_fn(n)
+    return wrapped
+
+
+@given(log_varpi=st.floats(min_value=math.log(1e-4), max_value=math.log(50.0)),
+       log_tol=st.floats(min_value=math.log(1e-14), max_value=math.log(1e-6)),
+       u=st.floats(min_value=0.01, max_value=0.25))
+@example(log_varpi=math.log(1e-4), log_tol=math.log(1e-14), u=0.1)   # ~80 chunks
+@example(log_varpi=math.log(4.5e-3), log_tol=math.log(1e-12), u=0.25)  # stops past 4096
+@settings(max_examples=60, deadline=None)
+def test_series_sum_bit_identical_to_whole_chunks(log_varpi, log_tol, u):
+    red = from_invariants(math.cosh(math.exp(log_varpi)), u)
+    tol = math.exp(log_tol)
+    for name, term_fn in _term_fns(red).items():
+        got = scalar._series_sum(term_fn, tol, name)
+        assert got.hex() == _one_chunk_sum(term_fn, tol).hex(), name
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-14])
+def test_series_cost_follows_terms_needed(tol):
+    # far: the first call, 32 head terms and 32 probes, holds the stop
+    for name, term_fn in _term_fns(from_invariants(11.0, 0.1)).items():
+        asked = []
+        scalar._series_sum(_counted(term_fn, asked), tol, name)
+        assert sum(asked) <= 64, name
+    # near contact: the probes are the only terms asked for twice, so the
+    # count passes the whole chunks' (4096 or 8192 here) only where the
+    # stop lies in the last window before a chunk boundary
+    for name, term_fn in _term_fns(from_invariants(1.0 + 1e-5, 0.1)).items():
+        asked, whole = [], []
+        scalar._series_sum(_counted(term_fn, asked), tol, name)
+        _one_chunk_sum(_counted(term_fn, whole), tol)
+        assert sum(asked) <= sum(whole) + 32, name
+        if tol == 1e-12:  # stops at 2156 (scalar) and about 6200 terms
+            assert sum(asked) <= sum(whole) - 1000, name
+
+
+def test_series_sum_raises_past_the_term_cap():
+    # a series that never converges asks for the whole chunks below the
+    # cap, as the whole-chunk loop did, plus the 32 probes, then raises
+    asked = []
+    with pytest.raises(ConvergenceError):
+        scalar._series_sum(_counted(np.ones_like, asked), 1e-12, "constant")
+    assert sum(asked) == 32 + 4096 * -(-scalar.MAX_TERMS // 4096)
