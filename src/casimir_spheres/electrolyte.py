@@ -25,6 +25,12 @@ and equal radii.  Every free dimension of a tensor group uses the same
 representative weighted by the orbit size stands for them.  The group
 is read off the coefficients, so there is no setting for it.  The QMC
 groups keep every mask, with the same points and seeds.
+
+A group's determinants are evaluated one tile of about ``_TILE``
+(mask, point) pairs at a time, so each gathered coupling array and each
+temporary of the continuant recursion stays in cache.  Each tile's sum
+over points is numpy's pairwise row sum rather than a BLAS product, so
+the sums do not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -59,7 +65,9 @@ __all__ = [
 # QuadratureSettings, these only bound memory/runtime at extreme r
 _TENSOR_GROUP_BUDGET = 2**23
 _QMC_GROUP_BUDGET = 2**23
-_CHUNK_ROWS = 2**20
+# (mask, point) elements evaluated at once, so that each gathered coupling
+# and each temporary of the continuant recursion (64 KB) stays in cache
+_TILE = 2**13
 # above this y the intermediate 4 y^4 of the two-sphere f1 closed form overflows
 _F1_YMAX = (sys.float_info.max / 8.0) ** 0.25
 
@@ -109,7 +117,7 @@ class QuadratureSettings:
         Dimension above which quasi-Monte Carlo replaces the tensor rule.
     seed : int
         Seed for the Sobol scrambling; results are reproducible
-        bit-for-bit for fixed settings.
+        bit-for-bit for fixed settings, at any BLAS thread count.
     """
 
     nodes_per_dim: int = 16
@@ -174,21 +182,22 @@ def _det_chain(coups: list, sigma: int):
     if n == 2:
         s = coups[0] + sigma * coups[1]
         return 1.0 - s * s
+    sq = [c ** 2 for c in coups]
     # open-chain continuant P_n over links 0..n-2
     p_prev = 1.0
     p = 1.0
     prod = sigma * coups[0]
     for i in range(n - 1):
-        p_prev, p = p, p - coups[i] ** 2 * p_prev
+        p_prev, p = p, p - sq[i] * p_prev
         if i >= 1:
             prod = prod * coups[i]
     # interior continuant over links 1..n-3 (sites 2..n-1)
     q_prev = 1.0
     q = 1.0
     for i in range(1, n - 2):
-        q_prev, q = q, q - coups[i] ** 2 * q_prev
+        q_prev, q = q, q - sq[i] * q_prev
     sign = -2.0 if n % 2 == 0 else 2.0
-    return p - coups[n - 1] ** 2 * q + sign * prod * coups[n - 1]
+    return p - sq[n - 1] * q + sign * prod * coups[n - 1]
 
 
 def det_roundtrip_matrix(spec: RoundTripMatrixSpec, red: ReducedGeometry) -> float:
@@ -285,28 +294,26 @@ def _qmc_map(v: np.ndarray) -> tuple:
     return t, wt.prod(axis=1)
 
 
-def _group_dets(coefs, col_idx, t_nodes, sigma):
-    """Stacked determinants for one (sigma, d) group.
+def _group_dets(tables, col_idx, sigma):
+    """Stacked determinants for one tile of a (sigma, d) group.
 
     Parameters
     ----------
-    coefs : ndarray (n_links,)
-        Per-link coupling coefficients.
+    tables : sequence of ndarray (d + 1, npts)
+        One per link: the link's coupling coefficient times the node
+        table, whose rows are the free dimensions and whose last row,
+        read by column -1, is the pinned t = 1.  Links with equal
+        coefficients share one array.
     col_idx : ndarray (n_masks, n_links)
         For each mask, the free-dimension column feeding each link, or
         -1 when the link is pinned at t = 1.
-    t_nodes : ndarray (npts, d)
-        Quadrature nodes of the free dimensions.
     sigma : int
 
     Returns
     -------
     ndarray (n_masks, npts)
     """
-    # node table (d + 1, npts) whose last row, read by column -1, is the pinned t = 1
-    tt = np.ones((t_nodes.shape[1] + 1, t_nodes.shape[0]))
-    tt[:-1] = t_nodes.T
-    return _det_chain([ci * tt[col_idx[:, i]] for i, ci in enumerate(coefs)], sigma)
+    return _det_chain([tab.take(col_idx[:, i], axis=0) for i, tab in enumerate(tables)], sigma)
 
 
 def _link_symmetries(coefs) -> tuple:
@@ -348,26 +355,32 @@ def _masks_for(n_links: int, d: int, group: tuple) -> tuple:
     return col_idx, mult
 
 
-def _group_sums(coefs, masks, node_sets, sigma) -> list:
-    """Sum of weights/det over all masks and nodes, per (t_nodes, weights) set.
+def _group_sum(coefs, masks, t_nodes, weights, sigma) -> float:
+    """Sum of weights/det over all masks and nodes of one (sigma, d) group.
 
     ``masks`` is a (col_idx, mult) pair from :func:`_masks_for`; each
-    mask's sum counts ``mult`` times.  All sets of a group come in one
-    call, so one set's determinants are freed only once the next set's
-    exist; freeing them between calls made glibc return heap pages and
-    fault them back in (1.7x the page faults, 6 % slower f_ded_total at
-    y = 1.1, u = 0.1 on a 2-core Xeon VM).
+    mask's sum counts ``mult`` times.  The (mask, point) pairs are taken
+    one tile of about ``_TILE`` at a time: up to ``_TILE`` points by as
+    many masks as fill the tile.  Each tile's rows are summed by numpy's
+    pairwise row sum, so the result does not depend on the BLAS thread
+    count.
     """
     col_idx, mult = masks
-    totals = []
-    for t_nodes, weights in node_sets:
-        total = 0.0
-        step = max(1, _CHUNK_ROWS // t_nodes.shape[0])
-        for lo in range(0, col_idx.shape[0], step):
-            dets = _group_dets(coefs, col_idx[lo:lo + step], t_nodes, sigma)
-            total += float((mult[lo:lo + step] * ((1.0 / dets) @ weights)).sum())
-        totals.append(total)
-    return totals
+    npts = t_nodes.shape[0]
+    # node table (d + 1, npts) whose last row, read by column -1, is the pinned t = 1
+    tt = np.ones((t_nodes.shape[1] + 1, npts))
+    tt[:-1] = t_nodes.T
+    pstep = min(npts, _TILE)
+    mstep = max(1, _TILE // pstep)
+    acc = np.zeros(col_idx.shape[0])
+    for p0 in range(0, npts, pstep):
+        scaled = {c: c * tt[:, p0:p0 + pstep] for c in set(coefs)}
+        tables = [scaled[c] for c in coefs]
+        w = weights[p0:p0 + pstep]
+        for lo in range(0, col_idx.shape[0], mstep):
+            dets = _group_dets(tables, col_idx[lo:lo + mstep], sigma)
+            acc[lo:lo + mstep] += (w / dets).sum(axis=1)
+    return float((mult * acc).sum())
 
 
 def _tensor_group(coefs, masks, d, order, sigma) -> float:
@@ -377,7 +390,7 @@ def _tensor_group(coefs, masks, d, order, sigma) -> float:
     wflat = np.ones(1)
     for _ in range(d):
         wflat = np.multiply.outer(wflat, w1).ravel()
-    return _group_sums(coefs, masks, [(t_nodes, wflat)], sigma)[0]
+    return _group_sum(coefs, masks, t_nodes, wflat, sigma)
 
 
 def _qmc_group(coefs, masks, d, npts, seed_key, sigma) -> tuple:
@@ -387,7 +400,7 @@ def _qmc_group(coefs, masks, d, npts, seed_key, sigma) -> tuple:
     seeds = (np.random.SeedSequence(entropy=seed_key + (k,)).generate_state(1)[0]
              for k in range(n_rep))
     sets = (_qmc_map(qmc.Sobol(d=d, scramble=True, seed=int(s)).random_base2(m)) for s in seeds)
-    reps = np.array(_group_sums(coefs, masks, sets, sigma)) / 2**m
+    reps = np.array([_group_sum(coefs, masks, t, w, sigma) for t, w in sets]) / 2**m
     value = float(reps.mean())
     err = float(reps.std(ddof=1) / math.sqrt(n_rep))
     return value, err

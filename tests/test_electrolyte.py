@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_spheres import electrolyte
-from casimir_spheres.electrolyte import (QuadratureSettings, RoundTripMatrixSpec,
+from casimir_spheres.electrolyte import (_TILE, QuadratureSettings, RoundTripMatrixSpec,
+                                         _det_chain, _group_sum,
                                          _link_coefficients, _link_symmetries,
-                                         _masks_for, _tensor_group,
+                                         _masks_for, _qmc_map, _tensor_group,
                                          det_roundtrip_matrix,
                                          det_roundtrip_transfer, f1_ded,
                                          f_ded_dipole, f_ded_roundtrip,
@@ -283,3 +286,97 @@ def test_ring_determinant_invariant_under_link_symmetries():
         if u < 0.25:
             moved = det_roundtrip_matrix(RoundTripMatrixSpec(r, tuple(t[list(rot1)]), sigma), red)
             assert abs(moved / base - 1.0) > 1e-6
+
+
+def _one_shot_dets(coefs, col_idx, t_nodes, sigma):
+    """Reference: every (mask, point) pair of a group gathered at once."""
+    tt = np.ones((t_nodes.shape[1] + 1, t_nodes.shape[0]))
+    tt[:-1] = t_nodes.T
+    return _det_chain([ci * tt[col_idx[:, i]] for i, ci in enumerate(coefs)], sigma)
+
+
+def _kernel_cases(npts, n_cases=24, seed=0):
+    """Random (coefs, masks, t_nodes, weights, sigma) groups with ``npts`` points.
+
+    Coefficients alternate (two spheres), are equal (equal radii) or are
+    1/(2y) (plane chain); below 1/2 every ring determinant is positive.
+    """
+    rng = np.random.default_rng(seed + npts)
+    for k in range(n_cases):
+        n = int(rng.integers(1, 11))
+        kind = k % 3
+        if kind == 0:
+            coefs = np.resize(rng.uniform(0.05, 0.49, 2), n)
+        elif kind == 1:
+            coefs = np.full(n, rng.uniform(0.05, 0.49))
+        else:
+            coefs = np.full(n, 1.0 / (2.0 * rng.uniform(1.02, 3.0)))
+        d = int(rng.integers(1, n + 1))
+        group = _link_symmetries(coefs) if rng.random() < 0.5 else _identity(n)
+        col_idx, mult = _masks_for(n, d, group)
+        if npts > 1000:
+            # a few masks keep the one-shot reference small
+            keep = np.sort(rng.choice(len(mult), min(len(mult), 6), replace=False))
+            col_idx, mult = col_idx[keep], mult[keep]
+        t_nodes, weights = _qmc_map(rng.random((npts, d)))
+        yield coefs, (col_idx, mult), t_nodes, weights, int(rng.choice((-1, 1)))
+
+
+_KERNEL_NPTS = (37, 1000, _TILE, _TILE + 1, 2 * _TILE + 123)
+
+
+@pytest.mark.parametrize("npts", _KERNEL_NPTS)
+def test_tiled_dets_equal_one_shot_gather(npts, monkeypatch):
+    tiles = []
+
+    def recording(tables, col_idx, sigma):
+        tiles.append(group_dets(tables, col_idx, sigma))
+        return tiles[-1]
+
+    group_dets = electrolyte._group_dets
+    monkeypatch.setattr(electrolyte, "_group_dets", recording)
+    for coefs, (col_idx, mult), t_nodes, weights, sigma in _kernel_cases(npts):
+        tiles.clear()
+        _group_sum(coefs, (col_idx, mult), t_nodes, weights, sigma)
+        # tiles come point block by point block, each block mask tile by mask tile
+        blocks, rows = [], []
+        for tile in tiles:
+            rows.append(tile)
+            if sum(len(r) for r in rows) == len(col_idx):
+                blocks.append(np.vstack(rows))
+                rows = []
+        assert not rows and max(t.size for t in tiles) <= _TILE
+        assert np.array_equal(np.hstack(blocks), _one_shot_dets(coefs, col_idx, t_nodes, sigma))
+
+
+@pytest.mark.parametrize("npts", _KERNEL_NPTS)
+def test_group_sum_matches_matvec_reduction(npts):
+    for coefs, (col_idx, mult), t_nodes, weights, sigma in _kernel_cases(npts):
+        dets = _one_shot_dets(coefs, col_idx, t_nodes, sigma)
+        ref = float((mult * ((1.0 / dets) @ weights)).sum())
+        got = _group_sum(coefs, (col_idx, mult), t_nodes, weights, sigma)
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_engine_works_in_cache_sized_tiles(monkeypatch):
+    # the working set is bounded by the tile, not by the group size: at the
+    # one-shot gather every coupling array of an order held up to 2**20
+    # (mask, point) pairs and tracemalloc peaked at 135 MB
+    sizes = []
+
+    def recording(coups, sigma):
+        sizes.extend(np.size(c) for c in coups)
+        return det_chain(coups, sigma)
+
+    det_chain = electrolyte._det_chain
+    monkeypatch.setattr(electrolyte, "_det_chain", recording)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            f_ded_roundtrip(from_invariants(1.1, 0.1), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes and max(sizes) <= _TILE
+    assert peak < 32 * 2**20

@@ -20,6 +20,8 @@ import contextlib
 import difflib
 import io
 import json
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -34,7 +36,8 @@ from casimir_spheres.cli import main as cli_main
 from casimir_spheres.validation import (DIELECTRIC_ELECTROLYTE, DRUDE_VACUUM,
                                         SCALAR, f_roundtrip_planewave)
 
-DATA = Path(__file__).resolve().parent / "data" / "pinned.json"
+HERE = Path(__file__).resolve().parent
+DATA = HERE / "data" / "pinned.json"
 
 CHEAP = QuadratureSettings(nodes_per_dim=12, qmc_points=2**12)
 SERIES_DY = [float(v) for v in np.logspace(-5.0, 4.0, 19)]
@@ -131,6 +134,22 @@ def pinned():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_pinned(name, pinned):
     assert CASES[name]() == pinned[name]
+
+
+def test_ded_sums_independent_of_blas_threads():
+    # the pins are recorded at one BLAS thread count and checked at others
+    # (the benchmark runs at one, CI runners have several), so the ded sums
+    # must not depend on how BLAS splits a reduction among its threads
+    src = str(HERE.parent / "src")
+    code = f"import sys; sys.path[:0] = [{src!r}, {str(HERE)!r}]; import test_pinned; " \
+           "print(test_pinned._ded_total())"
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=600)
+        out.append(proc.stdout)
+    assert out[0] == out[1]
 
 
 def _diff(old, new):
