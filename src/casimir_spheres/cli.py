@@ -20,9 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,16 +42,6 @@ QUANTITIES = ("f", "f1", "phi", "ratio_u_over_quarter", "phi_over_quarter", "f_a
 def _fail(msg: str, code: int = 2):
     print(f"error: {msg}", file=sys.stderr)
     raise SystemExit(code)
-
-
-def _threads() -> int:
-    env = os.environ.get("CASIMIR_NUM_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            _fail(f"CASIMIR_NUM_THREADS must be an integer, got {env!r}")
-    return min(4, os.cpu_count() or 1)
 
 
 def _settings(args) -> QuadratureSettings:
@@ -87,6 +75,9 @@ def _total(model, red, args):
 
 
 def _check_grid(args):
+    for flag in ("ymin", "ymax"):
+        if not math.isfinite(getattr(args, flag)):
+            _fail(f"--{flag} must be a finite number, got {getattr(args, flag)}")
     if args.ymin <= 0 or args.ymax <= args.ymin or args.points < 2:
         _fail("need 0 < ymin < ymax (as y-1) and points >= 2")
 
@@ -106,6 +97,8 @@ def _read_params(path, models):
 def cmd_compute(args) -> int:
     red = _geometry_from_args(args)
     models = MODELS if args.model == "all" else (args.model,)
+    if args.T is not None and not 0.0 < args.T < math.inf:
+        _fail(f"--T must be a positive temperature in kelvin, got {args.T}")
     print(f"y      = {red.y:.12g}")
     print(f"u      = {red.u:.12g}")
     print(f"varpi  = {red.varpi:.12g}")
@@ -164,7 +157,8 @@ def _curve_point(model, quantity, y, u, totals, params):
 def cmd_curve(args) -> int:
     models = MODELS if args.model == "all" else (args.model,)
     try:
-        u_values = [float(tok) for tok in str(args.u).split(",")]
+        # one row per grid point: a repeated u is dropped
+        u_values = list(dict.fromkeys(float(tok) for tok in str(args.u).split(",")))
     except ValueError:
         _fail(f"--u expects a comma-separated list of numbers, got {args.u!r}")
     _check_grid(args)
@@ -185,7 +179,7 @@ def cmd_curve(args) -> int:
     # quantities share the u = 1/4 reference across their u values
     refs = [0.25] if args.quantity in ("ratio_u_over_quarter", "phi_over_quarter") else []
     total_us = [] if args.quantity in ("f1", "f_approx") else u_values + refs
-    keys = list(dict.fromkeys((model, y, u) for model in models for u in total_us for y in ys))
+    keys = dict.fromkeys((model, y, u) for model in models for u in total_us for y in ys)
 
     def run(key):
         model, y, u = key
@@ -194,8 +188,7 @@ def cmd_curve(args) -> int:
         except ConvergenceError:
             return math.nan, math.nan
 
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        totals = dict(zip(keys, pool.map(run, keys)))
+    totals = {key: run(key) for key in keys}
 
     def point(model, y, u):
         try:

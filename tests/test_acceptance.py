@@ -9,7 +9,6 @@ behind the recorded values.
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from casimir_spheres.validation import (DIELECTRIC_ELECTROLYTE, DRUDE_VACUUM,
 
 PFA = ZETA3 / 8.0
 FAST = QuadratureSettings(nodes_per_dim=12, qmc_points=2**12)
-THREADS = 2
 
 warnings.simplefilter("ignore")
 
@@ -47,10 +45,7 @@ GRID_U = (0.0, 0.016, 0.04, 0.1, 0.25)
 
 
 def _phi_column(model, u, ys, settings):
-    def one(y):
-        return phi_u(from_invariants(float(y), u), model, settings)
-    with ThreadPoolExecutor(max_workers=THREADS) as pool:
-        return np.array(list(pool.map(one, ys)))
+    return np.array([phi_u(from_invariants(float(y), u), model, settings) for y in ys])
 
 
 @pytest.fixture(scope="session")

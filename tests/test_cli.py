@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 
 import pytest
 
@@ -92,6 +93,12 @@ def test_compute_rejects_invalid_values(capsys):
     code, _, err = run(capsys, "compute", "--y", "0.5", "--u", "0.1")
     assert code == 2
     assert "y" in err
+    for T in ("nan", "0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--y", "2", "--u", "0.1", "--T", T])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--T" in out.err, (T, out)
 
 
 def test_curve_determinism_and_format(tmp_path, capsys):
@@ -115,12 +122,40 @@ def test_curve_determinism_and_format(tmp_path, capsys):
 
 def test_curve_row_count_two_point_grid(tmp_path, capsys):
     out_path = tmp_path / "rows.csv"
-    assert main(["curve", "--model", "all", "--quantity", "f1", "--u", "0.1",
-                 "--ymin", "1", "--ymax", "2", "--points", "2",
-                 "--out", str(out_path)]) == 0
-    rows = out_path.read_text().splitlines()[4:]
-    assert len(rows) == 6  # 3 models x 1 u x 2 points
+    for u in ("0.1", "0.1,0.1"):  # a repeated u adds no rows
+        assert main(["curve", "--model", "all", "--quantity", "f1", "--u", u,
+                     "--ymin", "1", "--ymax", "2", "--points", "2",
+                     "--out", str(out_path)]) == 0
+        rows = out_path.read_text().splitlines()[4:]
+        assert len(rows) == 6, u  # 3 models x 1 u x 2 points
     capsys.readouterr()
+
+
+def test_curve_evaluates_each_total_once_on_calling_thread(monkeypatch, capsys):
+    calls = []
+
+    def total(model, red, args):
+        calls.append((threading.current_thread(), (model, red.y, red.u)))
+        return 1.0, 0.0
+
+    monkeypatch.setattr(cli, "_total", total)
+    assert main(["curve", "--model", "all", "--quantity", "ratio_u_over_quarter",
+                 "--u", "0,0.1", "--ymin", "1", "--ymax", "4", "--points", "3",
+                 "--out", "-"]) == 0
+    capsys.readouterr()
+    keys = [key for _, key in calls]
+    # 3 models x (2 u + the shared u = 1/4 reference) x 3 points
+    assert len(keys) == len(set(keys)) == 27
+    assert {u for *_, u in keys} == {0.0, 0.1, 0.25}
+    assert {thread for thread, _ in calls} == {threading.current_thread()}
+
+
+def test_curve_rejects_non_finite_grid(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "--model", "dvd", "--ymax", "1e400"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--ymax" in out.err, out
 
 
 def test_curve_phi_quantity(tmp_path, capsys):
@@ -267,12 +302,13 @@ def test_curve_f_approx_from_fitted_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grid", [["--ymin", "0"], ["--ymin", "-1"],
-                                  ["--ymin", "5", "--ymax", "1"], ["--points", "1"]])
+                                  ["--ymin", "5", "--ymax", "1"], ["--points", "1"],
+                                  ["--ymin", "nan"], ["--ymax", "inf"]])
 def test_fit_rejects_bad_grid(grid, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--model", "dvd", *grid])
     assert exc.value.code == 2
-    assert "ymin" in capsys.readouterr().err
+    assert grid[0].lstrip("-") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content", [None, "not json", json.dumps({"model": "dvd", "n": 2}),

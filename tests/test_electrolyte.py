@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from casimir_spheres import electrolyte
 from casimir_spheres.electrolyte import (_TILE, QuadratureSettings, RoundTripMatrixSpec,
                                          _det_chain, _group_sum,
                                          _link_coefficients, _link_symmetries,
                                          _masks_for, _qmc_map, _tensor_group,
+                                         _tensor_rule,
                                          det_roundtrip_matrix,
                                          det_roundtrip_transfer, f1_ded,
                                          f_ded_dipole, f_ded_roundtrip,
@@ -246,6 +248,36 @@ def test_orbit_reduced_tensor_groups_match_full_masks(coefs):
             full = _tensor_group(coefs, _masks_for(n, d, _identity(n)), d, 6, sigma)
             reduced = _tensor_group(coefs, _masks_for(n, d, group), d, 6, sigma)
             assert reduced == pytest.approx(full, rel=1e-12, abs=0.0)
+
+
+def _reference_tensor_grid(d, order):
+    """The tensor Gauss grid built directly, as the reference for the cached rule."""
+    x, w = leggauss(order)
+    v = 0.5 * (x + 1.0)
+    t = 1.0 - (1.0 - v) ** 2
+    jac = (1.0 - v)
+    w1 = -2.0 * w * t * jac
+    grids = np.meshgrid(*([t] * d), indexing="ij")
+    t_nodes = np.stack([g.ravel() for g in grids], axis=1)
+    wflat = np.ones(1)
+    for _ in range(d):
+        wflat = np.multiply.outer(wflat, w1).ravel()
+    return t_nodes, wflat
+
+
+def test_tensor_rule_cached_read_only_and_equal_to_reference():
+    assert _tensor_rule.cache_info().maxsize is not None
+    coefs = _link_coefficients(from_invariants(1.1, 0.1), 2)
+    group = _link_symmetries(coefs)
+    for d in range(1, 5):
+        masks = _masks_for(len(coefs), d, group)
+        for order in (4, 7, 16):
+            t_nodes, weights = _tensor_rule(d, order)
+            assert not t_nodes.flags.writeable and not weights.flags.writeable
+            ref = _reference_tensor_grid(d, order)
+            for sigma in (+1, -1):
+                want = _group_sum(coefs, masks, *ref, sigma)
+                assert _tensor_group(coefs, masks, d, order, sigma).hex() == want.hex()
 
 
 def test_link_symmetry_group_orders():

@@ -136,7 +136,7 @@ def test_pinned(name, pinned):
     assert CASES[name]() == pinned[name]
 
 
-def test_ded_sums_independent_of_blas_threads():
+def test_ded_sums_independent_of_blas_thread_count():
     # the pins are recorded at one BLAS thread count and checked at others
     # (the benchmark runs at one, CI runners have several), so the ded sums
     # must not depend on how BLAS splits a reduction among its threads
