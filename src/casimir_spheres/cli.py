@@ -31,8 +31,8 @@ from .geometry import (PLANE, ReducedGeometry, SphereGeometry, free_energy_si,
 from .electrolyte import (QuadratureSettings, RoundTripMatrixSpec,
                           det_roundtrip_matrix, det_roundtrip_transfer)
 from .models import APPROX_MODELS, MODELS as _REGISTRY, get_model
-from .rational import (FitResult, builtin_params, f_approx, max_deviation,
-                       phi_u, refit)
+from .rational import (FitResult, builtin_params, default_fit_grid, f_approx,
+                       max_deviation, phi_u, refit)
 from .validation import f_roundtrip_planewave
 
 MODELS = tuple(_REGISTRY)
@@ -67,10 +67,7 @@ def _geometry_from_args(args) -> ReducedGeometry:
 
 
 def _total(model, red, args):
-    """Total of ``model`` at the CLI's tolerance: ``--tol``, capped for the series."""
-    m = get_model(model)
-    res = m.total(red, tol=min(args.tol, m.tol_cap), r_max=args.rmax,
-                  settings=_settings(args))
+    res = get_model(model).total(red, tol=args.tol, r_max=args.rmax, settings=_settings(args))
     return res.value, res.error
 
 
@@ -231,7 +228,7 @@ def cmd_fit(args) -> int:
     if not 0.0 <= args.uref <= 0.25:
         _fail(f"--uref must lie in [0, 1/4], got {args.uref}")
     _check_grid(args)
-    grid = 1.0 + np.logspace(math.log10(args.ymin), math.log10(args.ymax), args.points)
+    grid = default_fit_grid(args.points, args.ymin, args.ymax)
     result = refit(args.model, args.uref, n=args.n, grid=grid,
                    settings=_settings(args), seed=args.seed)
     print(f"fitted n={args.n} parameters for {args.model} at u_ref={args.uref}:")
@@ -286,6 +283,21 @@ def cmd_validate(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _checked(convert, ok, rule):
+    """argparse ``type``: ``convert`` the text, then require ``ok`` of the value.
+
+    argparse converts ``--config`` values with it too, so a bad value
+    exits 2 before any command runs.
+    """
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse says "invalid float value: 'x'"
+    return parse
+
+
 class _Config(argparse.Action):
     """``--config FILE``: the file's values become the subcommand's defaults.
 
@@ -337,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_totals(p):
         """Flags of the subcommands that sum totals: ``fit`` and ``validate`` sum none."""
-        p.add_argument("--tol", type=float, default=1e-4,
-                       help="relative accuracy target for summed quantities")
-        p.add_argument("--rmax", type=int, default=5,
+        p.add_argument("--tol", type=_checked(float, lambda t: 0.0 < t < 1.0, "lie in (0, 1)"),
+                       default=1e-4, help="relative accuracy target for summed quantities")
+        p.add_argument("--rmax", type=_checked(int, lambda r: r >= 1, "be >= 1"), default=5,
                        help="cap on explicitly integrated round-trip orders")
         add_common(p)
 

@@ -9,7 +9,7 @@ trip exactly (the measure's delta part carries the ideal-reflector
 piece), so the engine only integrates the correction to the scalar
 result; the remaining terms are grouped by the number of integrated
 dimensions and evaluated by tensor Gauss-Legendre rules in few
-dimensions and scrambled Sobol quasi-Monte Carlo above ``dim_switch``.
+dimensions and scrambled Sobol quasi-Monte Carlo above ``_DIM_SWITCH``.
 
 For the plane-sphere case the 2r-dimensional form degenerates; the limit
 is taken analytically and yields the same structure on an r-dimensional
@@ -61,10 +61,11 @@ __all__ = [
     "f_ded_dipole",
 ]
 
-# evaluation-count ceilings per (sigma, d) group; accuracy knobs live in
-# QuadratureSettings, these only bound memory/runtime at extreme r
-_TENSOR_GROUP_BUDGET = 2**23
-_QMC_GROUP_BUDGET = 2**23
+# integrated dimensions above which quasi-Monte Carlo replaces the tensor rule
+_DIM_SWITCH = 4
+# evaluation-count ceiling per (sigma, d) group, met by lowering the Gauss
+# order or the point count; it bounds the runtime (the tiles bound memory)
+_GROUP_BUDGET = 2**23
 # (mask, point) elements evaluated at once, so that each gathered coupling
 # and each temporary of the continuant recursion (64 KB) stays in cache
 _TILE = 2**13
@@ -111,10 +112,9 @@ class QuadratureSettings:
         Gauss-Legendre order for tensor-product integration of the
         low-dimensional terms, >= 2.
     qmc_points : int
-        Scrambled Sobol point count (power of two) for the terms with
-        more than ``dim_switch`` integrated dimensions, >= 1024.
-    dim_switch : int
-        Dimension above which quasi-Monte Carlo replaces the tensor rule.
+        Scrambled Sobol point count (power of two), >= 1024.  Quasi-Monte
+        Carlo takes over from the tensor rule above four integrated
+        dimensions.
     seed : int
         Seed for the Sobol scrambling; results are reproducible
         bit-for-bit for fixed settings, at any BLAS thread count.
@@ -122,7 +122,6 @@ class QuadratureSettings:
 
     nodes_per_dim: int = 16
     qmc_points: int = 2**13
-    dim_switch: int = 4
     seed: int = 0
 
     def __post_init__(self):
@@ -130,8 +129,6 @@ class QuadratureSettings:
             raise DomainError("nodes_per_dim must be >= 2")
         if self.qmc_points < 2**10:
             raise DomainError("qmc_points must be >= 2**10")
-        if self.dim_switch < 0:
-            raise DomainError("dim_switch must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -440,25 +437,23 @@ def _roundtrip_correction(red: ReducedGeometry, r: int, settings: QuadratureSett
     for s_idx, sigma in enumerate((+1, -1)):
         for d in range(1, n_links + 1):
             n_masks = math.comb(n_links, d)
-            if d <= settings.dim_switch:
+            if d <= _DIM_SWITCH:
                 order = settings.nodes_per_dim
-                while order > 6 and n_masks * order**d > _TENSOR_GROUP_BUDGET:
+                while order > 6 and n_masks * order**d > _GROUP_BUDGET:
                     order -= 2
                 masks = _masks_for(n_links, d, group)
-                v_hi = _tensor_group(coefs, masks, d, order, sigma)
-                v_lo = _tensor_group(coefs, masks, d, max(4, order // 2), sigma)
-                total += v_hi
-                err += abs(v_hi - v_lo)
+                v = _tensor_group(coefs, masks, d, order, sigma)
+                e = abs(v - _tensor_group(coefs, masks, d, max(4, order // 2), sigma))
             else:
                 npts = settings.qmc_points
-                while npts > 2**10 and n_masks * npts > _QMC_GROUP_BUDGET:
+                while npts > 2**10 and n_masks * npts > _GROUP_BUDGET:
                     npts //= 2
                 v, e = _qmc_group(
                     coefs, _masks_for(n_links, d, identity), d, npts,
                     (settings.seed, r, s_idx, d, int(red.is_plane)), sigma,
                 )
-                total += v
-                err += e
+            total += v
+            err += e
     return prefac * total, prefac * err
 
 
@@ -481,21 +476,20 @@ def f_ded_roundtrip(
     ValueWithError
         Strictly positive value with an absolute error estimate.
     """
-    if r < 1 or int(r) != r:
-        raise DomainError(f"round-trip order must be a positive integer, got {r}")
+    fsc_r = f_sc_roundtrip(red, r)  # raises DomainError for a bad order
     if settings is None:
         settings = QuadratureSettings()
     corr, err = _roundtrip_correction(red, r, settings)
-    return ValueWithError(f_sc_roundtrip(red, r) + corr, err)
+    return ValueWithError(fsc_r + corr, err)
 
 
 # plane-case deviation sequences are reused as the tail shape for all u
-# near contact, where the deviation is nearly independent of u
+# near contact, where the deviation is nearly independent of u; they are
+# integrated up to this order, past which the tail is geometric
 _PLANE_TAIL_RMAX = 14
-_PLANE_CACHE_SIZE = 4096
 
 
-@lru_cache(maxsize=_PLANE_CACHE_SIZE)
+@lru_cache(maxsize=4096)
 def _plane_correction(y: float, r: int, settings: QuadratureSettings) -> tuple:
     """:func:`_roundtrip_correction` of the plane case at y, memoised per order."""
     return _roundtrip_correction(from_invariants(y, 0.0), r, settings)
@@ -533,16 +527,19 @@ def _rho_ratio(rho: dict, r: int) -> float:
     return rho[r] / prev if prev != 0.0 else rho[r]
 
 
-def _tail_sum(red, r_start, eta_of_k, err_of_k, stop_below):
-    """Accumulate -eta(r) f_sc^(r) and its uncertainty for r > r_start."""
+def _tail_sum(red, r_end, rho_end, q, err_of_k, stop_below):
+    """Accumulate -eta(r) f_sc^(r) and its uncertainty for r > r_end.
+
+    rho continues geometrically: eta(r) = 1 - rho_end q^(r - r_end).
+    """
     tail_corr = 0.0
     tail_err = 0.0
     varpi = red.varpi
-    r = r_start + 1
-    while r < r_start + 10**6:
-        k = np.arange(r - r_start, r - r_start + 512)
+    r = r_end + 1
+    while r < r_end + 10**6:
+        k = np.arange(r - r_end, r - r_end + 512)
         fsc_rr = _roundtrip_terms(varpi, np.arange(r, r + 512, dtype=float))
-        tail_corr -= float(np.sum(eta_of_k(k) * fsc_rr))
+        tail_corr -= float(np.sum((1.0 - rho_end * q ** k) * fsc_rr))
         tail_err += float(np.sum(err_of_k(k) * fsc_rr))
         # <=: with stop_below = 0 (f1 = 0) the terms can only underflow to 0
         if fsc_rr[-1] <= stop_below:
@@ -569,7 +566,8 @@ def f_ded_total(
     (where rho decays slowly) the tail borrows the deviation profile of
     the plane-sphere configuration at the same y, since the deviation is
     nearly independent of u there and the plane case is far cheaper to
-    integrate deeply.
+    integrate deeply.  That profile ends at order 14; integrated past
+    it, rho is extrapolated geometrically as for weak coupling.
 
     Emits :class:`AccuracyWarning` when the tail estimate dominates the
     budget near contact (y - 1 < 0.05).
@@ -623,17 +621,15 @@ def f_ded_total(
         r_last = r
 
     stop_below = max(1e-3 * budget, 1e-15 * abs(base))
-    eta_last = 1.0 - rho[r_last]
     rho_last = rho[r_last]
-    tail_corr = 0.0
-    tail_err = 0.0
-    if rho_last > 0.25 and r_last >= 2:
-        # strongly coupled: follow the plane-case deviation profile,
-        # scaled to match the last integrated order
+    tail_corr = tail_err = 0.0
+    if rho_last > 0.25 and 2 <= r_last <= _PLANE_TAIL_RMAX:
+        # strongly coupled: follow the plane-case deviation profile, scaled
+        # to match the last integrated order, as far as the profile goes
         seq = _plane_eta_sequence(red.y, r_last, settings)
-        eta_pl_last = seq.get(r_last, (0.0, 0.0))[0]
-        scale_c = eta_last / eta_pl_last if eta_pl_last > 0 else 1.0
-        eta_prev = eta_last
+        eta_prev = 1.0 - rho_last
+        eta_pl_last = seq[r_last][0]
+        scale_c = eta_prev / eta_pl_last if eta_pl_last > 0 else 1.0
         r_end = max(seq)
         for r in range(r_last + 1, r_end + 1):
             fsc_r = f_sc_roundtrip(red, r)
@@ -643,25 +639,16 @@ def f_ded_total(
             eta_prev = eta_r
         rho_end = 1.0 - eta_prev
         q = min(max(rho_end / max(1.0 - scale_c * seq[max(r_end - 1, r_last)][0], 1e-30), 0.0), 0.97)
-        tc, te = _tail_sum(
-            red, r_end,
-            lambda k: 1.0 - rho_end * q ** k,
-            lambda k: 0.05 + 0.5 * rho_end * q ** k,
-            stop_below,
-        )
-        tail_corr += tc
-        tail_err += te
+        err_of_k = lambda k: 0.05 + 0.5 * rho_end * q ** k
     else:
-        # weakly coupled: geometric extrapolation of rho itself
+        # weakly coupled, or integrated past the plane profile's last
+        # order: geometric extrapolation of rho itself
+        r_end, rho_end = r_last, rho_last
         q = min(max(_rho_ratio(rho, r_last), 0.0), 1.0)
-        tc, te = _tail_sum(
-            red, r_last,
-            lambda k: 1.0 - rho_last * q ** k,
-            lambda k: 0.5 * rho_last * q ** k * np.minimum(1.0 + 0.5 * k, 4.0),
-            stop_below,
-        )
-        tail_corr += tc
-        tail_err += te
+        err_of_k = lambda k: 0.5 * rho_end * q ** k * np.minimum(1.0 + 0.5 * k, 4.0)
+    tc, te = _tail_sum(red, r_end, rho_end, q, err_of_k, stop_below)
+    tail_corr += tc
+    tail_err += te
 
     value = base + corr_sum + tail_corr
     error = err_sum + tail_err + 1e-14 * abs(value)

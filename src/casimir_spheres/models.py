@@ -9,7 +9,6 @@ up here by name instead of branching on it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -30,9 +29,7 @@ class Model:
 
     ``total(red, tol, r_max, settings) -> ValueWithError`` keeps the
     defaults of the underlying function, ``f1(red)`` is the single round
-    trip and ``reflection`` the oracle's kernel.  ``tol_cap`` caps the
-    tolerance the CLI passes to ``total``: the exact series are cheap, so
-    they are always summed to 1e-10 or tighter.  ``approx`` holds the
+    trip and ``reflection`` the oracle's kernel.  ``approx`` holds the
     built-in ``(nu, mu)`` of the rational approximant, or ``None`` when
     the model has none.
     """
@@ -40,20 +37,22 @@ class Model:
     total: Callable[..., ValueWithError]
     f1: Callable[..., float]
     reflection: ReflectionModel
-    tol_cap: float = math.inf
     approx: tuple | None = None
 
 
 def _series_total(fn):
-    """Adapt an exactly summed series to the ``total`` signature (error 0)."""
+    """Adapt an exactly summed series to the ``total`` signature (error 0).
+
+    The series are cheap, so they are always summed to 1e-10 or tighter.
+    """
     def total(red, tol=1e-12, r_max=5, settings=None):
-        return ValueWithError(fn(red, tol), 0.0)
+        return ValueWithError(fn(red, min(tol, 1e-10)), 0.0)
     return total
 
 
 MODELS = {
-    "scalar": Model(_series_total(f_sc_total), partial(f_sc_roundtrip, r=1), SCALAR, 1e-10),
-    "dvd": Model(_series_total(f_dvd_total), f1_dvd, DRUDE_VACUUM, 1e-10,
+    "scalar": Model(_series_total(f_sc_total), partial(f_sc_roundtrip, r=1), SCALAR),
+    "dvd": Model(_series_total(f_dvd_total), f1_dvd, DRUDE_VACUUM,
                  approx=((0.011495, 0.19868), (0.011359, 0.16728))),
     "ded": Model(f_ded_total, f1_ded, DIELECTRIC_ELECTROLYTE,
                  approx=((0.004618, 0.09639), (0.004415, 0.08397))),

@@ -101,6 +101,33 @@ def test_compute_rejects_invalid_values(capsys):
         assert out.out == "" and "--T" in out.err, (T, out)
 
 
+GRID = ["--ymin", "1", "--ymax", "2", "--points", "2"]
+
+
+@pytest.mark.parametrize("argv, config, flag", [
+    (["compute", "--y", "2", "--u", "0.1", "--tol", "nan"], None, "--tol"),
+    (["compute", "--y", "2", "--u", "0.1", "--rmax", "0", "--model", "ded"], None, "--rmax"),
+    (["curve", "--model", "dvd", "--tol", "2", *GRID], None, "--tol"),
+    (["curve", "--model", "scalar", "--rmax", "-3", *GRID], None, "--rmax"),
+    (["compute", "--y", "2", "--u", "0.1"], {"tol": "nan"}, "--tol"),
+], ids=["compute-tol-nan", "compute-ded-rmax-0", "curve-dvd-tol-2", "curve-scalar-rmax-neg",
+        "config-tol-nan"])
+def test_totals_flags_checked_before_output(tmp_path, capsys, argv, config, flag):
+    # every model, from argv or --config: exit 2 before the geometry lines or a CSV
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert flag in out.err
+
+
 def test_curve_determinism_and_format(tmp_path, capsys):
     out_path = tmp_path / "data.csv"
     args = ["curve", "--model", "dvd", "--quantity", "f", "--u", "0,0.25",

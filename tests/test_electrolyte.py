@@ -124,10 +124,12 @@ def test_roundtrip_exchange_symmetry():
         assert a == pytest.approx(b, rel=1e-10)
 
 
-def test_roundtrip_r2_dual_method():
+def test_roundtrip_r2_dual_method(monkeypatch):
     red = from_invariants(2.0, 0.25)
-    tensor = f_ded_roundtrip(red, 2, QuadratureSettings(nodes_per_dim=32, dim_switch=4))
-    qmc = f_ded_roundtrip(red, 2, QuadratureSettings(qmc_points=2**16, dim_switch=0))
+    tensor = f_ded_roundtrip(red, 2, QuadratureSettings(nodes_per_dim=32))
+    # every group by quasi-Monte Carlo
+    monkeypatch.setattr(electrolyte, "_DIM_SWITCH", 0)
+    qmc = f_ded_roundtrip(red, 2, QuadratureSettings(qmc_points=2**16))
     assert abs(tensor.value - qmc.value) < 3.0 * (tensor.error + qmc.error)
 
 
@@ -220,6 +222,15 @@ def test_large_y_two_sphere_f1_raises_typed_error():
     for y in (1e100, 1e200):
         with pytest.raises(ConvergenceError):
             f_ded_total(from_invariants(y, 0.25))
+
+
+def test_tail_past_plane_profile_cap(monkeypatch):
+    # integrated past the plane profile's last order, the tail extrapolates
+    # the integrated orders geometrically instead of reading an empty profile
+    monkeypatch.setattr(electrolyte, "_PLANE_TAIL_RMAX", 3)
+    got = f_ded_total(from_invariants(1.01, 0.1))
+    assert math.isfinite(got.value) and got.value > 0.0
+    assert math.isfinite(got.error)
 
 
 def test_total_validates_inputs():
