@@ -28,8 +28,7 @@ from . import __version__
 from .errors import CasimirError, ConvergenceError, DomainError
 from .geometry import (PLANE, ReducedGeometry, SphereGeometry, free_energy_si,
                        from_invariants, reduce)
-from .electrolyte import (QuadratureSettings, RoundTripMatrixSpec,
-                          det_roundtrip_matrix, det_roundtrip_transfer)
+from .electrolyte import RoundTripMatrixSpec, det_roundtrip_matrix, det_roundtrip_transfer
 from .models import APPROX_MODELS, MODELS as _REGISTRY, get_model
 from .rational import (FitResult, builtin_params, default_fit_grid, f_approx,
                        max_deviation, phi_u, refit)
@@ -42,10 +41,6 @@ QUANTITIES = ("f", "f1", "phi", "ratio_u_over_quarter", "phi_over_quarter", "f_a
 def _fail(msg: str, code: int = 2):
     print(f"error: {msg}", file=sys.stderr)
     raise SystemExit(code)
-
-
-def _settings(args) -> QuadratureSettings:
-    return QuadratureSettings(seed=args.seed)
 
 
 def _geometry_from_args(args) -> ReducedGeometry:
@@ -67,7 +62,7 @@ def _geometry_from_args(args) -> ReducedGeometry:
 
 
 def _total(model, red, args):
-    res = get_model(model).total(red, tol=args.tol, r_max=args.rmax, settings=_settings(args))
+    res = get_model(model).total(red, tol=args.tol)
     return res.value, res.error
 
 
@@ -229,16 +224,14 @@ def cmd_fit(args) -> int:
         _fail(f"--uref must lie in [0, 1/4], got {args.uref}")
     _check_grid(args)
     grid = default_fit_grid(args.points, args.ymin, args.ymax)
-    result = refit(args.model, args.uref, n=args.n, grid=grid,
-                   settings=_settings(args), seed=args.seed)
+    result = refit(args.model, args.uref, n=args.n, grid=grid, seed=args.seed)
     print(f"fitted n={args.n} parameters for {args.model} at u_ref={args.uref}:")
     print(f"  nu = {list(result.params.nu)}")
     print(f"  mu = {list(result.params.mu)}")
     print(f"  epsilon (fit grid) = {result.epsilon:.3e}")
     pb = builtin_params(args.model)
     if args.n == pb.n:
-        dev_b = max_deviation(pb, args.model, [(y, args.uref) for y in grid],
-                              settings=_settings(args))
+        dev_b = max_deviation(pb, args.model, [(y, args.uref) for y in grid])
         print(f"  built-in parameters on the same grid: epsilon = {dev_b:.3e}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -278,7 +271,7 @@ def cmd_validate(args) -> int:
 
     for (y, u) in [(2.0, 0.1), (3.0, 0.25)]:
         red = from_invariants(y, u)
-        got = phi_u(red, "ded", _settings(args))
+        got = phi_u(red, "ded")
         check(f"phi_ded(y={y}, u={u}) in (1, zeta3]", 1.0 < got < 1.2120569, f"phi {got:.6f}")
     return 0 if failures == 0 else 1
 
@@ -343,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=0, help="quadrature scramble seed")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed of fit's start and validate's random rings; curve records it")
         p.add_argument("--config", action=_Config, default=None,
                        help="JSON file with defaults for this command (flags win)")
 
@@ -351,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
         """Flags of the subcommands that sum totals: ``fit`` and ``validate`` sum none."""
         p.add_argument("--tol", type=_checked(float, lambda t: 0.0 < t < 1.0, "lie in (0, 1)"),
                        default=1e-4, help="relative accuracy target for summed quantities")
-        p.add_argument("--rmax", type=_checked(int, lambda r: r >= 1, "be >= 1"), default=5,
-                       help="cap on explicitly integrated round-trip orders")
         add_common(p)
 
     pc = sub.add_parser("compute", help="evaluate one geometry")

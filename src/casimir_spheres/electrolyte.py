@@ -1,53 +1,32 @@
 """Reduced free energy for two dielectric spheres in an electrolyte.
 
-Single round trips have a closed form.  Higher round trips are integrals
-of 1/det of a periodic tridiagonal coupling matrix over per-reflection
-strengths t in [0,1]^(2r), taken against the signed product measure
-prod_i [delta(t_i - 1) - 2 t_i] dt_i and summed over a boundary sign
-sigma = +-1.  The all-delta point reproduces the scalar Dirichlet round
-trip exactly (the measure's delta part carries the ideal-reflector
-piece), so the engine only integrates the correction to the scalar
-result; the remaining terms are grouped by the number of integrated
-dimensions and evaluated by tensor Gauss-Legendre rules in few
-dimensions and scrambled Sobol quasi-Monte Carlo above ``_DIM_SWITCH``.
-
-For the plane-sphere case the 2r-dimensional form degenerates; the limit
-is taken analytically and yields the same structure on an r-dimensional
-cyclic chain with uniform coupling coefficient 1/(2y), which is what the
-plane branch of the engine evaluates.
-
-The tensor groups are integrated on one mask per symmetry orbit.  The
-ring determinant is unchanged by the dihedral maps i -> (+-i + k) mod n
-of its links that leave the link coefficients unchanged: the 2r maps
-that keep the alternation of two spheres, all 2n for the plane chain
-and equal radii.  Every free dimension of a tensor group uses the same
-1-D rule, so all masks of an orbit have the same integral, and one
-representative weighted by the orbit size stands for them.  The group
-is read off the coefficients, so there is no setting for it.  The QMC
-groups keep every mask, with the same points and seeds.
-
-A group's determinants are evaluated one tile of about ``_TILE``
-(mask, point) pairs at a time, so each gathered coupling array and each
-temporary of the continuant recursion stays in cache.  Each tile's sum
-over points is numpy's pairwise row sum rather than a BLAS product, so
-the sums do not depend on the BLAS thread count.
+Each sphere reflects multipoles with the Neumann amplitude -l/(l+1)
+(dphi/dn = 0: a permittivity negligible against the screened
+electrolyte's).  The single round trip has a closed form; the total is
+one determinant, exact in bispherical coordinates with the spheres at
+mu = mu1 and mu = -mu2, mu1 + mu2 = varpi.  Per azimuthal index m,
+f = -1/2 sum_m (2 - delta_m0) log det(1 - M_m), M_m = R1 E R2 E,
+E = diag exp(-(n+1/2) varpi), R_i = A_i^{-1} B_i, A_i = J_i + s_i/2,
+B_i = J_i - s_i/2, s_i = sinh(mu_i), and J_i tridiagonal in n >= m:
+J_nn = (n+1/2) cosh(mu_i), J_{n,n-1} = -(n-m)/2, J_{n,n+1} = -(n+m+1)/2.
+det(1 - z M_m) = det K / (det A1 det A2), K = [[A1, z B1 E], [B2 E, A2]],
+is block tridiagonal in n, so a Schur recursion vectorised over m costs
+O(N) per m.  The truncated A_i and B_i are closed with the exact
+minimal-solution ratio of their recurrence (Gautschi, SIAM Rev. 9, 24,
+1967), x_n = integral_0^1 s^(n-m) (1-s)^m (1 - r s)^(m-1) ds,
+r = exp(-2 mu_i).
 """
 from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.stats import qmc
 
-from .errors import AccuracyWarning, ConvergenceError, DomainError
-from .geometry import ReducedGeometry, from_invariants
-from .scalar import _roundtrip_terms, f_sc_roundtrip, f_sc_total
+from .errors import ConvergenceError, DomainError
+from .geometry import ReducedGeometry
+from .scalar import f_sc_roundtrip
 
 __all__ = [
     "RoundTripMatrixSpec",
@@ -61,16 +40,17 @@ __all__ = [
     "f_ded_dipole",
 ]
 
-# integrated dimensions above which quasi-Monte Carlo replaces the tensor rule
-_DIM_SWITCH = 4
-# evaluation-count ceiling per (sigma, d) group, met by lowering the Gauss
-# order or the point count; it bounds the runtime (the tiles bound memory)
-_GROUP_BUDGET = 2**23
-# (mask, point) elements evaluated at once, so that each gathered coupling
-# and each temporary of the continuant recursion (64 KB) stays in cache
-_TILE = 2**13
 # above this y the intermediate 4 y^4 of the two-sphere f1 closed form overflows
 _F1_YMAX = (sys.float_info.max / 8.0) ** 0.25
+# the first truncation keeps rows with exp(-2 N varpi) > exp(-40); each
+# later one has 1.5 times as many rows, up to _MAX_ROWS
+_ROWS_VARPI = 20.0
+_MAX_ROWS = 2**15
+# points on the circle of the per-order discrete Fourier transform
+_NZ = 32
+# complex step of the trace
+_STEP = 2.0**-64
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -104,20 +84,9 @@ class RoundTripMatrixSpec:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Numerical settings for the multi-round-trip integrals.
-
-    Parameters
-    ----------
-    nodes_per_dim : int
-        Gauss-Legendre order for tensor-product integration of the
-        low-dimensional terms, >= 2.
-    qmc_points : int
-        Scrambled Sobol point count (power of two), >= 1024.  Quasi-Monte
-        Carlo takes over from the tensor rule above four integrated
-        dimensions.
-    seed : int
-        Seed for the Sobol scrambling; results are reproducible
-        bit-for-bit for fixed settings, at any BLAS thread count.
+    """Former settings of the multi-round-trip integrals (nodes_per_dim >= 2,
+    qmc_points >= 1024, seed).  Nothing reads them now; the class and the
+    ``settings`` arguments remain so that existing callers keep working.
     """
 
     nodes_per_dim: int = 16
@@ -262,199 +231,172 @@ def f_ded_dipole(red: ReducedGeometry) -> float:
 
 
 # ---------------------------------------------------------------------------
-# signed-measure engine
+# banded bispherical determinant
 
 
-# one default f_ded_total meets 15 (d, order) rules: orders 16 and 8 for
-# d = 1..3, and for d = 4 the orders 16 down to 8 that the group budget
-# leaves for up to 14 links (the plane tail), with their halves
-@lru_cache(maxsize=16)
-def _tensor_rule(d: int, order: int) -> tuple:
-    """Tensor Gauss-Legendre rule on [0,1]^d for the measure part prod -2 t dt.
+def _sphere_mus(red: ReducedGeometry) -> tuple:
+    """(mu1, mu2) of the two spheres; a plane sits at mu = 0.
 
-    Uses the corner substitution t = 1 - (1-v)^2 per dimension, which
-    clusters nodes at t = 1 where the integrands peak near contact.
-    Returns read-only (t_nodes, weights) of shapes (order^d, d) and
-    (order^d,), the first dimension varying slowest.
+    tanh(mu_i) = sinh(varpi) / (alpha_i + cosh(varpi)), taken for the
+    larger sphere in a form free of cancellation near contact; the other
+    is varpi minus it.
     """
-    x, w = leggauss(order)
-    v = 0.5 * (x + 1.0)
-    t1 = 1.0 - (1.0 - v) ** 2
-    w1 = -2.0 * w * t1 * (1.0 - v)  # dt = 2(1-v) dv, dv = dx/2
-    grids = np.meshgrid(*([t1] * d), indexing="ij")
-    t_nodes = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.ones(1)
-    for _ in range(d):
-        weights = np.multiply.outer(weights, w1).ravel()
-    t_nodes.flags.writeable = weights.flags.writeable = False
-    return t_nodes, weights
-
-
-def _qmc_map(v: np.ndarray) -> tuple:
-    """Map uniform points to t-space with the corner substitution.
-
-    Returns the t matrix and the per-point product weight of the
-    continuous measure part.
-    """
-    t = 1.0 - (1.0 - v) ** 2
-    wt = -4.0 * t * (1.0 - v)  # -2 t dt with dt = 2(1-v) dv
-    return t, wt.prod(axis=1)
-
-
-def _group_dets(tables, col_idx, sigma):
-    """Stacked determinants for one tile of a (sigma, d) group.
-
-    Parameters
-    ----------
-    tables : sequence of ndarray (d + 1, npts)
-        One per link: the link's coupling coefficient times the node
-        table, whose rows are the free dimensions and whose last row,
-        read by column -1, is the pinned t = 1.  Links with equal
-        coefficients share one array.
-    col_idx : ndarray (n_masks, n_links)
-        For each mask, the free-dimension column feeding each link, or
-        -1 when the link is pinned at t = 1.
-    sigma : int
-
-    Returns
-    -------
-    ndarray (n_masks, npts)
-    """
-    return _det_chain([tab.take(col_idx[:, i], axis=0) for i, tab in enumerate(tables)], sigma)
-
-
-def _link_symmetries(coefs) -> tuple:
-    """Dihedral maps of the ring's links that leave ``coefs`` unchanged.
-
-    Each map is a tuple p sending link i to p[i] = (+-i + k) mod n.  The
-    ring determinant depends on its couplings only through the ring's
-    matchings and the product of all links, both unchanged when the links
-    are relabelled along the ring, so every map kept here leaves it
-    unchanged.  Alternating coefficients (two spheres) keep the 2r maps
-    with even k, equal ones (plane chain, equal radii) all 2n.
-    """
-    n = len(coefs)
-    maps = {tuple((s * i + k) % n for i in range(n)) for s in (1, -1) for k in range(n)}
-    return tuple(sorted(p for p in maps if all(coefs[j] == c for j, c in zip(p, coefs))))
-
-
-@lru_cache(maxsize=256)
-def _masks_for(n_links: int, d: int, group: tuple) -> tuple:
-    """One mask per orbit of the d-subsets of free links under ``group``.
-
-    Returns (col_idx, mult).  col_idx[m, i] is the free-dimension column
-    feeding link i of representative m, or -1 when the link is pinned at
-    t = 1; mult[m] is the size of its orbit.  Under the identity alone
-    every mask is its own orbit, in ``combinations`` order.
-    """
-    reps, mult, seen = [], [], set()
-    for free in combinations(range(n_links), d):
-        if free not in seen:
-            orbit = {tuple(sorted(p[i] for i in free)) for p in group}
-            seen |= orbit
-            reps.append(free)
-            mult.append(len(orbit))
-    col_idx = np.full((len(reps), n_links), -1, dtype=np.int64)
-    for m, free in enumerate(reps):
-        col_idx[m, list(free)] = np.arange(d)
-    mult = np.array(mult, dtype=float)
-    col_idx.flags.writeable = mult.flags.writeable = False
-    return col_idx, mult
-
-
-def _group_sum(coefs, masks, t_nodes, weights, sigma) -> float:
-    """Sum of weights/det over all masks and nodes of one (sigma, d) group.
-
-    ``masks`` is a (col_idx, mult) pair from :func:`_masks_for`; each
-    mask's sum counts ``mult`` times.  The (mask, point) pairs are taken
-    one tile of about ``_TILE`` at a time: up to ``_TILE`` points by as
-    many masks as fill the tile.  Each tile's rows are summed by numpy's
-    pairwise row sum, so the result does not depend on the BLAS thread
-    count.
-    """
-    col_idx, mult = masks
-    npts = t_nodes.shape[0]
-    # node table (d + 1, npts) whose last row, read by column -1, is the pinned t = 1
-    tt = np.ones((t_nodes.shape[1] + 1, npts))
-    tt[:-1] = t_nodes.T
-    pstep = min(npts, _TILE)
-    mstep = max(1, _TILE // pstep)
-    acc = np.zeros(col_idx.shape[0])
-    for p0 in range(0, npts, pstep):
-        scaled = {c: c * tt[:, p0:p0 + pstep] for c in set(coefs)}
-        tables = [scaled[c] for c in coefs]
-        w = weights[p0:p0 + pstep]
-        for lo in range(0, col_idx.shape[0], mstep):
-            dets = _group_dets(tables, col_idx[lo:lo + mstep], sigma)
-            acc[lo:lo + mstep] += (w / dets).sum(axis=1)
-    return float((mult * acc).sum())
-
-
-def _tensor_group(coefs, masks, d, order, sigma) -> float:
-    return _group_sum(coefs, masks, *_tensor_rule(d, order), sigma)
-
-
-def _qmc_group(coefs, masks, d, npts, seed_key, sigma) -> tuple:
-    """Scrambled-Sobol group integral; returns (value, error estimate)."""
-    n_rep = 4
-    m = max(8, int(math.log2(max(npts // n_rep, 256))))
-    seeds = (np.random.SeedSequence(entropy=seed_key + (k,)).generate_state(1)[0]
-             for k in range(n_rep))
-    sets = (_qmc_map(qmc.Sobol(d=d, scramble=True, seed=int(s)).random_base2(m)) for s in seeds)
-    reps = np.array([_group_sum(coefs, masks, t, w, sigma) for t, w in sets]) / 2**m
-    value = float(reps.mean())
-    err = float(reps.std(ddof=1) / math.sqrt(n_rep))
-    return value, err
-
-
-def _roundtrip_correction(red: ReducedGeometry, r: int, settings: QuadratureSettings):
-    """Deviation of the r round-trip term from its scalar counterpart.
-
-    Sums the signed-measure expansion over every term with at least one
-    integrated dimension (the all-delta point is the exact scalar part
-    and is excluded).  Returns (value, error estimate); the value carries
-    the full prefactor.
-    """
+    v = red.varpi
     if red.is_plane:
-        n_links = r
-        coefs = np.full(r, 1.0 / (2.0 * red.y))
-        scale = 2.0 * red.y
+        return (0.0, v) if math.isinf(red.alpha1) else (v, 0.0)
+    mu_big = 0.5 * math.log1p(2.0 * math.sinh(v) / (max(red.alpha1, red.alpha2) + math.exp(-v)))
+    return (mu_big, v - mu_big) if red.alpha1 >= red.alpha2 else (v - mu_big, mu_big)
+
+
+def _closure(mu: float, last: int) -> np.ndarray:
+    """Minimal-solution ratios x_{last+1}/x_last of A's recurrence, for m = 0..last.
+
+    For m >= 1 the integrand expands into positive terms, x_n = B(n-m+1, 2m)
+    sum_k T_k, T_0 = 1, T_k/T_{k-1} = delta (m-k)(n-m+k) / (k (2m-k)),
+    delta = 1 - r; for m = 0, x_n = sum_j r^j / (n+1+j).  A plane (mu = 0)
+    needs no closure: its R is the identity at any truncation.
+    """
+    m = np.arange(last + 1, dtype=float)
+    if mu == 0.0:
+        return np.zeros_like(m)
+    delta = -math.expm1(-2.0 * mu)
+    r = 1.0 - delta
+    n = np.array([[last], [last + 1.0]])
+    total = np.ones((2, last + 1))
+    term = np.ones((2, last))  # T_0 of m = 1..last
+    for k in range(1, last):
+        mk = m[k + 1:]
+        term = term[:, 1:] * (delta * (mk - k) / k * (n - mk + k) / (2.0 * mk - k))
+        total[:, k + 1:] += term
+        if not (term > 1e-17 * total[:, k + 1:]).any():
+            break
+    lam = (last - m + 1.0) / (last + m + 1.0) * total[1] / total[0]
+    if delta * (last + 1) <= 1.0:
+        # sum_{k>n} r^k/k = -log(delta) - sum_{k<=n} r^k/k, large next to its parts
+        k = np.arange(1.0, last + 2.0)
+        head = np.cumsum(r ** k / k)
+        x0 = [r ** -(nn + 1.0) * (-math.log(delta) - head[nn - 1]) for nn in (last, last + 1)]
     else:
-        n_links = 2 * r
-        coefs = _link_coefficients(red, r)
-        scale = red.z
-    try:
-        prefac = 0.25 / r / scale ** r
-    except OverflowError:
-        prefac = 0.0  # scale**r exceeds the largest double, the prefactor underflows
-    # a tensor rule integrates every mask of an orbit alike, so one
-    # representative per orbit does; the Gauss order still follows the
-    # full mask count, and the QMC groups keep every mask and their points
-    group = _link_symmetries(coefs)
-    identity = (tuple(range(n_links)),)
-    total = 0.0
-    err = 0.0
-    for s_idx, sigma in enumerate((+1, -1)):
-        for d in range(1, n_links + 1):
-            n_masks = math.comb(n_links, d)
-            if d <= _DIM_SWITCH:
-                order = settings.nodes_per_dim
-                while order > 6 and n_masks * order**d > _GROUP_BUDGET:
-                    order -= 2
-                masks = _masks_for(n_links, d, group)
-                v = _tensor_group(coefs, masks, d, order, sigma)
-                e = abs(v - _tensor_group(coefs, masks, d, max(4, order // 2), sigma))
-            else:
-                npts = settings.qmc_points
-                while npts > 2**10 and n_masks * npts > _GROUP_BUDGET:
-                    npts //= 2
-                v, e = _qmc_group(
-                    coefs, _masks_for(n_links, d, identity), d, npts,
-                    (settings.seed, r, s_idx, d, int(red.is_plane)), sigma,
-                )
-            total += v
-            err += e
-    return prefac * total, prefac * err
+        j = np.arange(math.ceil(40.0 / delta) + 1.0)
+        x0 = [float(np.sum(r ** j / (nn + 1.0 + j))) for nn in (last, last + 1)]
+    lam[0] = x0[1] / x0[0]
+    return math.exp(-mu) * lam
+
+
+def _checkpoints(red: ReducedGeometry, z):
+    """Schur recursion of det K over the rows n, vectorised over m and z.
+
+    Yields, at N = N0, 1.5 N0, ... rows (N0 ~ 20/varpi), the closed
+    truncation's (N, log_det, size): log_det[k] = sum_m (2 - delta_m0)
+    log det(1 - z[k] M_m), and size the largest such sum of the steps'
+    absolute values.  Raises :class:`ConvergenceError` past ``_MAX_ROWS``.
+    """
+    mus = _sphere_mus(red)
+    ch, sh = np.cosh(mus), np.sinh(mus)
+    z = np.asarray(z).reshape(-1, 1)
+    # per (z, m): G = D - diag(a1, a2) of the last row, det D - a1 a2, the
+    # sum of the steps and of their absolute values; per m the pivots a1, a2
+    state = np.zeros((7, z.shape[0], 0), dtype=complex)
+    pivots = np.ones((2, 0))
+    n, n_end, e_p = 0, max(8, math.ceil(_ROWS_VARPI / red.varpi)), 0.0
+
+    def row(n, c, e, add, prev, a1, a2):
+        g11, g12, g21, g22, dl, acc, size = prev
+        al1 = (n + 0.5) * ch[0] + 0.5 * sh[0] + add[0]
+        al2 = (n + 0.5) * ch[1] + 0.5 * sh[1] + add[1]
+        be1 = (al1 - sh[0]) * e
+        be2 = (al2 - sh[1]) * e
+        na1 = al1 - c / a1
+        na2 = al2 - c / a2
+        # D^{-1} - diag(1/a1, 1/a2) of the previous row, without cancellation
+        det = a1 * a2 + dl
+        cross = g11 * g22 - g12 * g21
+        f11 = -(a2 * g11 + cross) / det / a1
+        f22 = -(a1 * g22 + cross) / det / a2
+        f12 = -g12 / det
+        f21 = -g21 / det
+        p = 1.0 / a1 + f11
+        s = 1.0 / a2 + f22
+        n11 = -c * (f11 + z * e_p * f21 + e * f12 + z * e_p * e * s)
+        n12 = z * be1 - c * (f12 + z * (e_p * s + e * p) + z * z * e_p * e * f21)
+        n21 = be2 - c * (f21 + e_p * p + e * s + e_p * e * f12)
+        n22 = -c * (f22 + e_p * f12 + z * e * f21 + z * e_p * e * p)
+        ndl = na1 * n22 + na2 * n11 + n11 * n22 - n12 * n21
+        x = ndl / (na1 * na2)
+        # numpy's complex log1p is log(1 + x), which loses the digits of a small x
+        term = (0.5 * np.log1p(x.real * (2.0 + x.real) + x.imag**2)
+                + 1j * np.arctan2(x.imag, 1.0 + x.real))
+        return (np.stack([n11, n12, n21, n22, ndl, acc + term, size.real + np.abs(term)]),
+                np.stack([na1, na2]))
+
+    while True:
+        if n_end > _MAX_ROWS:
+            raise ConvergenceError(f"ded: {n_end} bispherical rows needed at y - 1 = "
+                                   f"{red.y - 1.0:.3g}, more than {_MAX_ROWS}")
+        # rows n..n_end-1 bring in the azimuthal indices m = n..n_end-1
+        state = np.concatenate([state, np.zeros(state.shape[:2] + (n_end - n,))], axis=2)
+        pivots = np.concatenate([pivots, np.ones((2, n_end - n))], axis=1)
+        for n in range(n, n_end):
+            mm = np.arange(n + 1.0)
+            c = (n - mm) * (n + mm) / 4.0  # J[n, n-1] J[n-1, n]; 0 on the first row of each m
+            e = math.exp(-(n + 0.5) * red.varpi)
+            prev, piv = state[:, :, :n + 1], pivots[:, :n + 1]
+            new = row(n, c, e, (0.0, 0.0), prev, *piv)
+            if n == n_end - 1:
+                closed = row(n, c, e, [-0.5 * (n + mm + 1.0) * _closure(mu, n) for mu in mus],
+                             prev, *piv)[0]
+                w = np.where(mm == 0, 1.0, 2.0)
+                yield n_end, (closed[5] * w).sum(axis=-1), float((closed[6].real * w).sum(-1).max())
+            state[:, :, :n + 1], pivots[:, :n + 1] = new
+            e_p = e
+        n, n_end = n_end, math.ceil(1.5 * n_end)
+
+
+def _converged(red: ReducedGeometry, z, tol: float) -> tuple:
+    """First truncation whose log_det moved by at most tol times its size from the previous.
+
+    Returns (log_det, change, roundoff): each log_det's change from the
+    previous truncation, and eps times the rows times the size summed.
+    """
+    prev = None
+    # near y = 1e308 the rows overflow, which shows as a non-finite change
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n_rows, log_det, size in _checkpoints(red, z):
+            roundoff = _EPS * n_rows * size
+            if prev is not None:
+                change = np.abs(log_det - prev)
+                if not np.isfinite(change).all():
+                    raise ConvergenceError(f"ded: the determinant overflowed at y = {red.y:.3g}")
+                if change.max() <= tol * np.abs(log_det).max() + roundoff:
+                    return log_det, change, roundoff
+            prev = log_det
+
+
+def _orders(red: ReducedGeometry) -> tuple:
+    """(f^(r), error) for r < 32: f(z) = -1/2 sum_m (2 - delta_m0) log det(1 - z M_m)
+    = sum_r z^r f^(r) on 32 points of |z| = rho, by discrete Fourier transform.
+
+    M_m is similar to a positive semi-definite matrix of spectral radius
+    lambda <= exp(-varpi), so rho = exp(varpi)/2 converges; far from contact
+    rho rises to 1/(2 lambda_up), lambda_up = min_r (2 r f^(r))^(1/r) >= lambda.
+    """
+    orders = np.arange(_NZ)
+    rho = 0.5 * math.exp(red.varpi)
+    for _ in range(2):
+        half = rho * np.exp(2j * math.pi * np.arange(_NZ // 2 + 1) / _NZ)
+        log_det, change, roundoff = _converged(red, half, 1e-13)
+        # f(conj z) = conj f(z)
+        f = -0.5 * np.concatenate([log_det, np.conj(log_det[_NZ // 2 - 1:0:-1])])
+        with np.errstate(over="ignore", under="ignore"):
+            scale = rho ** -orders
+            coeff = np.fft.fft(f).real / _NZ * scale
+            err = (0.5 * (change.max() + roundoff) + 64 * _EPS * np.abs(f).max()) * scale
+            resolved = [k for k in range(1, _NZ // 2 + 1) if coeff[k] > 1e3 * err[k]]
+            lam_up = min((2.0 * k * coeff[k]) ** (1.0 / k) for k in resolved) if resolved else 0.0
+        if not 0.0 < lam_up < 0.25 / rho:
+            break
+        rho = 0.5 / lam_up
+    return coeff, err
 
 
 def f_ded_roundtrip(
@@ -462,201 +404,63 @@ def f_ded_roundtrip(
     r: int,
     settings: QuadratureSettings | None = None,
 ) -> ValueWithError:
-    """Contribution of exactly r round trips.
+    """Contribution of exactly r round trips, from the banded determinant.
 
     Parameters
     ----------
     red : ReducedGeometry
     r : int
-        Round-trip order, >= 1.
+        Round-trip order, 1 <= r <= 16.
     settings : QuadratureSettings, optional
+        Not read; kept for existing callers.
 
     Returns
     -------
     ValueWithError
-        Strictly positive value with an absolute error estimate.
+        Positive value (0 where f_sc^(r) >= f^(r) underflows) with an
+        absolute error estimate.
     """
-    fsc_r = f_sc_roundtrip(red, r)  # raises DomainError for a bad order
-    if settings is None:
-        settings = QuadratureSettings()
-    corr, err = _roundtrip_correction(red, r, settings)
-    return ValueWithError(fsc_r + corr, err)
-
-
-# plane-case deviation sequences are reused as the tail shape for all u
-# near contact, where the deviation is nearly independent of u; they are
-# integrated up to this order, past which the tail is geometric
-_PLANE_TAIL_RMAX = 14
-
-
-@lru_cache(maxsize=4096)
-def _plane_correction(y: float, r: int, settings: QuadratureSettings) -> tuple:
-    """:func:`_roundtrip_correction` of the plane case at y, memoised per order."""
-    return _roundtrip_correction(from_invariants(y, 0.0), r, settings)
-
-
-def _plane_eta_sequence(y: float, r_from: int, settings: QuadratureSettings) -> dict:
-    """Deviations eta(r) = 1 - f^(r)/f_sc^(r) of the plane case.
-
-    Extends from ``r_from`` until eta saturates (rho < 0.15) or the hard
-    cap; values are clamped to be monotone nondecreasing in [0, 1] since
-    the raw high-order entries are quasi-Monte-Carlo noisy.  Returns
-    {r: (eta, relative error)}.
-    """
-    red0 = from_invariants(y, 0.0)
-    out = {}
-    eta_floor = 0.0
-    for r in range(r_from, _PLANE_TAIL_RMAX + 1):
-        fsc_r = f_sc_roundtrip(red0, r)
-        corr, err = _plane_correction(y, r, settings)
-        eta = min(1.0, max(-corr / fsc_r, eta_floor))
-        eta_floor = eta
-        out[r] = (eta, err / fsc_r)
-        if 1.0 - eta < 0.15:
-            break
-    return out
-
-
-def _rho_ratio(rho: dict, r: int) -> float:
-    """Decay rho(r)/rho(r-1) of the ratio to the scalar series.
-
-    rho(r) itself where there is no order r-1 or its rho is 0, as at
-    large y where f1 has lost all its digits.
-    """
-    prev = rho.get(r - 1, 0.0)
-    return rho[r] / prev if prev != 0.0 else rho[r]
-
-
-def _tail_sum(red, r_end, rho_end, q, err_of_k, stop_below):
-    """Accumulate -eta(r) f_sc^(r) and its uncertainty for r > r_end.
-
-    rho continues geometrically: eta(r) = 1 - rho_end q^(r - r_end).
-    """
-    tail_corr = 0.0
-    tail_err = 0.0
-    varpi = red.varpi
-    r = r_end + 1
-    while r < r_end + 10**6:
-        k = np.arange(r - r_end, r - r_end + 512)
-        fsc_rr = _roundtrip_terms(varpi, np.arange(r, r + 512, dtype=float))
-        tail_corr -= float(np.sum((1.0 - rho_end * q ** k) * fsc_rr))
-        tail_err += float(np.sum(err_of_k(k) * fsc_rr))
-        # <=: with stop_below = 0 (f1 = 0) the terms can only underflow to 0
-        if fsc_rr[-1] <= stop_below:
-            break
-        r += 512
-    return tail_corr, tail_err
+    if r > _NZ // 2:
+        raise DomainError(f"round-trip order must be at most {_NZ // 2}, got {r}")
+    if f_sc_roundtrip(red, r) == 0.0:  # raises DomainError for a bad order
+        return ValueWithError(0.0, 0.0)
+    coeff, err = _orders(red)
+    return ValueWithError(float(coeff[int(r)]), float(err[int(r)]))
 
 
 def f_ded_total(
     red: ReducedGeometry,
     tol: float = 1e-4,
-    r_max: int = 5,
     settings: QuadratureSettings | None = None,
 ) -> ValueWithError:
     """Total reduced free energy, all round trips.
 
-    The single round trip is the closed form, the scalar part of every
-    higher round trip is summed exactly, and the engine integrates only
-    the per-round-trip deviations from the scalar result up to ``r_max``
-    (stopping earlier when the estimated remainder is already below
-    ``tol``).  The tail beyond the last integrated order is anchored to
-    the scalar series through the ratio rho(r) = f^(r)/f_sc^(r): for
-    weak coupling rho is extrapolated geometrically, while near contact
-    (where rho decays slowly) the tail borrows the deviation profile of
-    the plane-sphere configuration at the same y, since the deviation is
-    nearly independent of u there and the plane case is far cheaper to
-    integrate deeply.  That profile ends at order 14; integrated past
-    it, rho is extrapolated geometrically as for weak coupling.
-
-    Emits :class:`AccuracyWarning` when the tail estimate dominates the
-    budget near contact (y - 1 < 0.05).
+    The closed-form single round trip :func:`f1_ded` plus the exact
+    remainder sum_{r >= 2} f^(r) = -1/2 sum_m (2 - delta_m0)
+    [log det(1 - M_m) + tr M_m] of the banded bispherical determinant,
+    whose trace comes from a complex step, log det(1 - i h M) = -i h tr M
+    + O(h^2).  The truncation grows by factors of 1.5 from about 20/varpi
+    rows until the determinant moves by at most ``tol`` times its size.
 
     Parameters
     ----------
     red : ReducedGeometry
     tol : float
-        Relative accuracy target.
-    r_max : int
-        Cap on the number of explicitly integrated round-trip orders.
+        Relative accuracy target, in (0, 1).
     settings : QuadratureSettings, optional
+        Not read; kept for existing callers.
 
     Returns
     -------
     ValueWithError
+        The error adds the last truncation's change, a roundoff bound and
+        the difference of :func:`f1_ded` from the determinant's own trace.
     """
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tolerance must lie in (0, 1), got {tol}")
-    if r_max < 1:
-        raise DomainError(f"r_max must be >= 1, got {r_max}")
-    if settings is None:
-        settings = QuadratureSettings()
     f1 = f1_ded(red)
-    fsc1 = f_sc_roundtrip(red, 1)
-    fsc_all = f_sc_total(red, tol=1e-14)
-    base = f1 + (fsc_all - fsc1)
-
-    rho = {1: f1 / fsc1}
-    corr_sum = 0.0
-    err_sum = 0.0
-    r_last = 1
-    budget = tol * abs(f1)
-    for r in range(2, r_max + 1):
-        fsc_r = f_sc_roundtrip(red, r)
-        # proceed only while the extrapolated tail could still miss by
-        # more than the budget; once rho decays geometrically the miss
-        # is bounded by a few times the projected value scale
-        if r_last >= 2:
-            decay = min(1.0, _rho_ratio(rho, r_last))
-            scale = min(1.0, 3.0 * rho[r_last] * decay)
-        else:
-            scale = 1.0
-        # fsc_r = 0: this order and all later ones underflow
-        if fsc_r == 0.0 or fsc_r * scale < 0.25 * budget:
-            break
-        corr, err = _roundtrip_correction(red, r, settings)
-        corr_sum += corr
-        err_sum += err
-        rho[r] = (fsc_r + corr) / fsc_r
-        r_last = r
-
-    stop_below = max(1e-3 * budget, 1e-15 * abs(base))
-    rho_last = rho[r_last]
-    tail_corr = tail_err = 0.0
-    if rho_last > 0.25 and 2 <= r_last <= _PLANE_TAIL_RMAX:
-        # strongly coupled: follow the plane-case deviation profile, scaled
-        # to match the last integrated order, as far as the profile goes
-        seq = _plane_eta_sequence(red.y, r_last, settings)
-        eta_prev = 1.0 - rho_last
-        eta_pl_last = seq[r_last][0]
-        scale_c = eta_prev / eta_pl_last if eta_pl_last > 0 else 1.0
-        r_end = max(seq)
-        for r in range(r_last + 1, r_end + 1):
-            fsc_r = f_sc_roundtrip(red, r)
-            eta_r = min(1.0, max(eta_prev, scale_c * seq[r][0]))
-            tail_corr -= eta_r * fsc_r
-            tail_err += fsc_r * (0.05 * eta_r + 0.5 * seq[r][1] + abs(scale_c - 1.0))
-            eta_prev = eta_r
-        rho_end = 1.0 - eta_prev
-        q = min(max(rho_end / max(1.0 - scale_c * seq[max(r_end - 1, r_last)][0], 1e-30), 0.0), 0.97)
-        err_of_k = lambda k: 0.05 + 0.5 * rho_end * q ** k
-    else:
-        # weakly coupled, or integrated past the plane profile's last
-        # order: geometric extrapolation of rho itself
-        r_end, rho_end = r_last, rho_last
-        q = min(max(_rho_ratio(rho, r_last), 0.0), 1.0)
-        err_of_k = lambda k: 0.5 * rho_end * q ** k * np.minimum(1.0 + 0.5 * k, 4.0)
-    tc, te = _tail_sum(red, r_end, rho_end, q, err_of_k, stop_below)
-    tail_corr += tc
-    tail_err += te
-
-    value = base + corr_sum + tail_corr
-    error = err_sum + tail_err + 1e-14 * abs(value)
-    if red.y - 1.0 < 0.05 and tail_err > 0.5 * tol * abs(value):
-        warnings.warn(
-            f"tail beyond r={r_last} dominates the error budget at y-1="
-            f"{red.y - 1.0:.2e}; accuracy degraded to ~{error/abs(value):.1e} relative",
-            AccuracyWarning,
-            stacklevel=2,
-        )
-    return ValueWithError(value, error)
+    log_det, change, roundoff = _converged(red, [1.0, 1j * _STEP], tol)
+    trace = -log_det[1].imag / _STEP
+    value = f1 - 0.5 * (log_det[0].real + trace)
+    error = 0.5 * (change[0] + change[1] / _STEP + roundoff) + abs(f1 - 0.5 * trace)
+    return ValueWithError(float(value), float(error))

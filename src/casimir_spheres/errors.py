@@ -22,4 +22,4 @@ class FitError(CasimirError, RuntimeError):
 
 
 class AccuracyWarning(UserWarning):
-    """Result returned, but with degraded accuracy (tail-dominated regime)."""
+    """Result returned, but with degraded accuracy; nothing in the package emits it now."""
