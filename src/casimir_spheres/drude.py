@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .geometry import ReducedGeometry
 from .scalar import _series_sum, f_sc_total
 
@@ -54,11 +55,18 @@ def _self_series(varpi: float, sa: float, sb: float, tol: float) -> float:
 
     Evaluated as e^{(1-n)varpi}(1-e^{-2varpi}) /
     [sa (1-e^{-2n varpi}) + sb e^{varpi} (1-e^{-2(n+1)varpi})],
-    stable for both small and large varpi.
+    stable for both small and large varpi.  Raises
+    :class:`ConvergenceError` where the scale sb e^varpi overflows (y near
+    the largest double), since every term would be 0 there.
     """
     q = math.exp(-varpi)
     e2 = -math.expm1(-2.0 * varpi)
-    ew = math.exp(varpi)
+    try:
+        ew = math.exp(varpi)
+    except OverflowError:
+        ew = math.inf
+    if sb * ew == math.inf:
+        raise ConvergenceError(f"capacitance series: its scale overflows at varpi = {varpi:.6g}")
 
     def term(n):
         num = q ** (n - 1.0) * e2
@@ -148,5 +156,8 @@ def f1_dvd(red: ReducedGeometry) -> float:
 
 def f_dvd_dipole(red: ReducedGeometry) -> float:
     """Large-distance dipolar asymptote: 3/(8y^3), or 1/(4y^3) for u = 0."""
-    y3 = red.y ** 3
+    try:
+        y3 = red.y ** 3
+    except OverflowError:  # from y = 5.6e102, where the asymptote underflows to 0
+        y3 = math.inf
     return 0.25 / y3 if red.is_plane else 0.375 / y3

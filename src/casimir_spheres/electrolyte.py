@@ -84,20 +84,11 @@ class RoundTripMatrixSpec:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Former settings of the multi-round-trip integrals (nodes_per_dim >= 2,
-    qmc_points >= 1024, seed).  Nothing reads them now; the class and the
-    ``settings`` arguments remain so that existing callers keep working.
+    """Seed of the deleted quadrature; nothing reads it.  The benchmark's
+    ``bench/workloads.py`` and ``bench/record_reference.py`` still build it.
     """
 
-    nodes_per_dim: int = 16
-    qmc_points: int = 2**13
     seed: int = 0
-
-    def __post_init__(self):
-        if self.nodes_per_dim < 2:
-            raise DomainError("nodes_per_dim must be >= 2")
-        if self.qmc_points < 2**10:
-            raise DomainError("qmc_points must be >= 2**10")
 
 
 @dataclass(frozen=True)
@@ -200,8 +191,9 @@ def f1_ded(red: ReducedGeometry) -> float:
     Cancellation-free at large y: the logarithm argument is written as
     log1p of an exactly reduced rational expression and the radius-ratio
     terms use an arctanh form whose 1-x part is evaluated analytically.
-    Raises :class:`ConvergenceError` for two spheres at y > 6.9e76,
-    where the closed form overflows.
+    Raises :class:`ConvergenceError` where the closed form overflows: for
+    two spheres at y > 6.9e76, and at small u, where (2y + alpha)^2 (y^2 - 1)
+    leaves the double range (below u = 1.3e-154 at y = 2).
     """
     y = red.y
     f1sc = y / (4.0 * (y * y - 1.0))
@@ -214,19 +206,28 @@ def f1_ded(red: ReducedGeometry) -> float:
     den = y * z + 0.5
     term_log = (z / 12.0) * math.log1p(-(z * z + y * z + 0.25) / (den * den))
     acc = 0.0
-    for a in (red.alpha1, red.alpha2):
-        nn = 2.0 * y * y + a * y - 1.0
-        saz = math.sqrt(a * z)
-        # log of (N + saz)/(N - saz) with N - saz expanded via
-        # N^2 - a z = (2y + a)^2 (y^2 - 1)
-        one_minus = (2.0 * y + a) ** 2 * (y * y - 1.0) / (nn * (nn + saz))
-        acc += a ** -1.5 * math.log((1.0 + saz / nn) / one_minus)
-    return f1sc + term_log + acc / (12.0 * math.sqrt(z))
+    try:
+        for a in (red.alpha1, red.alpha2):
+            nn = 2.0 * y * y + a * y - 1.0
+            saz = math.sqrt(a * z)
+            # log of (N + saz)/(N - saz) with N - saz expanded via
+            # N^2 - a z = (2y + a)^2 (y^2 - 1)
+            one_minus = (2.0 * y + a) ** 2 * (y * y - 1.0) / (nn * (nn + saz))
+            acc += a ** -1.5 * math.log((1.0 + saz / nn) / one_minus)
+    except OverflowError:
+        acc = math.nan
+    f1 = f1sc + term_log + acc / (12.0 * math.sqrt(z))
+    if math.isnan(f1):  # an overflow to inf turns into nan on the way
+        raise ConvergenceError(f"f1_ded: the closed form overflows at u = {red.u:.3g}, y = {y:.3g}")
+    return f1
 
 
 def f_ded_dipole(red: ReducedGeometry) -> float:
     """Large-distance dipolar asymptote: 3/(32y^3), or 1/(8y^3) for u = 0."""
-    y3 = red.y ** 3
+    try:
+        y3 = red.y ** 3
+    except OverflowError:  # from y = 5.6e102, where the asymptote underflows to 0
+        y3 = math.inf
     return 0.125 / y3 if red.is_plane else 3.0 / (32.0 * y3)
 
 
@@ -412,7 +413,8 @@ def f_ded_roundtrip(
     r : int
         Round-trip order, 1 <= r <= 16.
     settings : QuadratureSettings, optional
-        Not read; kept for existing callers.
+        Not read; ``bench/workloads.py`` and ``bench/record_reference.py``
+        still pass it, and ``bench/`` changes only with the benchmark.
 
     Returns
     -------
@@ -448,7 +450,8 @@ def f_ded_total(
     tol : float
         Relative accuracy target, in (0, 1).
     settings : QuadratureSettings, optional
-        Not read; kept for existing callers.
+        Not read; ``bench/workloads.py`` and ``bench/record_reference.py``
+        still pass it, and ``bench/`` changes only with the benchmark.
 
     Returns
     -------

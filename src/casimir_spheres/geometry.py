@@ -10,6 +10,7 @@ ratio u, and derived ratios collected in :class:`ReducedGeometry`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy.constants import Boltzmann
@@ -124,7 +125,9 @@ def reduce(geom: SphereGeometry) -> ReducedGeometry:
     The invariant is computed from the expanded form
     y = 1 + L/R_eff + (u/2)(L/R_eff)^2, which is an exact rewriting of
     (distance^2 - R1^2 - R2^2) / (2 R1 R2) but free of cancellation for
-    L much smaller than the radii.
+    L much smaller than the radii.  Radii whose sum squared overflows,
+    whose product underflows or whose ratio overflows a double raise
+    :class:`DomainError`.
 
     Parameters
     ----------
@@ -146,6 +149,11 @@ def reduce(geom: SphereGeometry) -> ReducedGeometry:
             alpha2=math.inf,
         )
     L, R1, R2 = geom.L, geom.R1, geom.R2
+    # (R1 + R2)**2 must stay finite, R1 R2 normal and R1/R2 finite
+    if not (R1 + R2 <= math.sqrt(sys.float_info.max) and R1 * R2 >= sys.float_info.min
+            and max(R1, R2) / min(R1, R2) < math.inf):
+        raise DomainError(f"radii R1 = {R1:.3g} and R2 = {R2:.3g} leave the range of a double "
+                          "in (R1 + R2)^2, R1 R2 or R1/R2")
     r_eff = R1 * R2 / (R1 + R2)
     u = R1 * R2 / (R1 + R2) ** 2
     # guard rounding at the equal-radius boundary
@@ -169,7 +177,8 @@ def from_invariants(y: float, u: float) -> ReducedGeometry:
 
     The length scale is fixed by the convention r_eff = 1.  The ratio
     alpha1 takes the larger root (1 - 2u + sqrt(1 - 4u)) / (2u), so for
-    u -> 0 alpha2 -> 0 while alpha1 diverges.
+    u -> 0 alpha2 -> 0 while alpha1 diverges; below u = 5.6e-309 it
+    overflows a double, and :class:`DomainError` is raised.
 
     Parameters
     ----------
@@ -195,6 +204,9 @@ def from_invariants(y: float, u: float) -> ReducedGeometry:
     # accurate for small u
     s = math.sqrt(1.0 - 4.0 * u)
     alpha1 = (1.0 - 2.0 * u + s) / (2.0 * u)
+    if math.isinf(alpha1):
+        raise DomainError(f"radius-ratio parameter u = {u:.3g} is too small for a double "
+                          "radius ratio; u = 0 is the plane")
     alpha2 = 1.0 / alpha1
     return ReducedGeometry(
         y=float(y), u=float(u), z=2.0 * (y - 1.0) + 1.0 / u, varpi=_arcosh(y),

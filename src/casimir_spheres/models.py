@@ -27,11 +27,11 @@ __all__ = ["Model", "MODELS", "APPROX_MODELS", "get_model"]
 class Model:
     """One model's entry points.
 
-    ``total(red, tol, settings) -> ValueWithError`` keeps the
-    defaults of the underlying function, ``f1(red)`` is the single round
-    trip and ``reflection`` the oracle's kernel.  ``approx`` holds the
-    built-in ``(nu, mu)`` of the rational approximant, or ``None`` when
-    the model has none.
+    ``total(red, tol) -> ValueWithError`` keeps the default ``tol`` of
+    the underlying function, ``f1(red)`` is the single round trip and
+    ``reflection`` the oracle's kernel.  ``approx`` holds the built-in
+    ``(nu, mu)`` of the rational approximant, or ``None`` when the model
+    has none.
     """
 
     total: Callable[..., ValueWithError]
@@ -46,7 +46,7 @@ def _series_total(fn):
     The series are cheap, so they are always summed to 1e-10 or tighter;
     a ``tol`` outside (0, 1) is rejected first, as ``f_ded_total`` does.
     """
-    def total(red, tol=1e-12, settings=None):
+    def total(red, tol=1e-12):
         if not 0.0 < tol < 1.0:
             raise DomainError(f"tolerance must lie in (0, 1), got {tol}")
         return ValueWithError(fn(red, min(tol, 1e-10)), 0.0)

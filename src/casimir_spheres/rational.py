@@ -25,7 +25,6 @@ from scipy.optimize import least_squares
 
 from .errors import DomainError, FitError
 from .geometry import ReducedGeometry, from_invariants
-from .electrolyte import QuadratureSettings
 from .models import APPROX_MODELS, MODELS, get_model
 
 __all__ = [
@@ -168,16 +167,15 @@ _PHI_CACHE_SIZE = 8192
 
 
 @lru_cache(maxsize=_PHI_CACHE_SIZE)
-def phi_u(red: ReducedGeometry, model: str,
-          settings: QuadratureSettings | None = None) -> float:
+def phi_u(red: ReducedGeometry, model: str) -> float:
     """Ratio of the full reduced free energy to its single round trip.
 
     Lies in (1, zeta(3)] and decreases with y for the two
     electromagnetic models; the scalar ratio shares the endpoints but is
-    not monotonic.  Results are memoised per (red, model, settings).
+    not monotonic.  Results are memoised per (red, model).
     """
     m = get_model(model)
-    return m.total(red, settings=settings).value / m.f1(red)
+    return m.total(red).value / m.f1(red)
 
 
 def default_fit_grid(points: int = 200, lo: float = 1e-2, hi: float = 10.0) -> np.ndarray:
@@ -190,7 +188,6 @@ def refit(
     u_ref: float,
     n: int = 2,
     grid: np.ndarray | None = None,
-    settings: QuadratureSettings | None = None,
     seed: int = 0,
 ) -> FitResult:
     """Least-squares fit of the rational approximant at fixed u_ref.
@@ -213,8 +210,6 @@ def refit(
     grid : ndarray, optional
         y sample values; defaults to 200 points, y-1 log-spaced in
         [1e-2, 10].
-    settings : QuadratureSettings, optional
-        Numerical settings for the reference curve.
     seed : int
         Perturbs the starting point deterministically; useful for
         reproducibility studies.
@@ -232,7 +227,7 @@ def refit(
     if grid.size < 2 or np.any(grid <= 1.0):
         raise DomainError("fit grid must hold at least 2 samples with y > 1")
 
-    phi_ref = np.array([phi_u(from_invariants(g, u_ref), model, settings) for g in grid])
+    phi_ref = np.array([phi_u(from_invariants(g, u_ref), model) for g in grid])
 
     if builtin.n == n:
         start = np.log(np.array(list(builtin.nu) + list(builtin.mu)))
@@ -269,12 +264,7 @@ def refit(
     return FitResult(params=params, epsilon=eps, grid_spec=spec, seed=seed)
 
 
-def max_deviation(
-    params: RationalModelParams,
-    model: str,
-    grid,
-    settings: QuadratureSettings | None = None,
-) -> float:
+def max_deviation(params: RationalModelParams, model: str, grid) -> float:
     """Maximal |phi_u(y)/phi_rm(y) - 1| over a set of (y, u) samples.
 
     Parameters
@@ -292,7 +282,7 @@ def max_deviation(
         raise DomainError("deviation grid must not be empty")
     worst = 0.0
     for y, u in pairs:
-        p = phi_u(from_invariants(y, u), model, settings)
+        p = phi_u(from_invariants(y, u), model)
         worst = max(worst, abs(p / phi_rm(y, params) - 1.0))
     return worst
 

@@ -15,8 +15,7 @@ import pytest
 
 from casimir_spheres.cli import main as cli_main
 from casimir_spheres.drude import f1_dvd, f_dvd_total
-from casimir_spheres.electrolyte import (QuadratureSettings, RoundTripMatrixSpec,
-                                         det_roundtrip_matrix,
+from casimir_spheres.electrolyte import (RoundTripMatrixSpec, det_roundtrip_matrix,
                                          det_roundtrip_transfer, f1_ded,
                                          f_ded_roundtrip, f_ded_total)
 from casimir_spheres.geometry import from_invariants
@@ -27,7 +26,6 @@ from casimir_spheres.validation import (DIELECTRIC_ELECTROLYTE, DRUDE_VACUUM,
                                         SCALAR, f_roundtrip_planewave)
 
 PFA = ZETA3 / 8.0
-FAST = QuadratureSettings(nodes_per_dim=12, qmc_points=2**12)
 
 warnings.simplefilter("ignore")
 
@@ -44,15 +42,15 @@ GRID_Y = 1.0 + np.logspace(-2, 1, 100)
 GRID_U = (0.0, 0.016, 0.04, 0.1, 0.25)
 
 
-def _phi_column(model, u, ys, settings):
-    return np.array([phi_u(from_invariants(float(y), u), model, settings) for y in ys])
+def _phi_column(model, u, ys):
+    return np.array([phi_u(from_invariants(float(y), u), model) for y in ys])
 
 
 @pytest.fixture(scope="session")
 def ded_phi_table():
     table = {}
     for u in GRID_U:
-        table[u] = _phi_column("ded", u, GRID_Y, FAST)
+        table[u] = _phi_column("ded", u, GRID_Y)
     return table
 
 
@@ -60,7 +58,7 @@ def ded_phi_table():
 def dvd_phi_table():
     table = {}
     for u in GRID_U:
-        table[u] = _phi_column("dvd", u, GRID_Y, None)
+        table[u] = _phi_column("dvd", u, GRID_Y)
     return table
 
 
@@ -95,7 +93,7 @@ def test_criterion_1_pfa_ded():
     details = []
     for u in (0.0, 0.25):
         red = from_invariants(1.001, u)
-        val = (red.y - 1.0) * f_ded_total(red, tol=0.02, settings=FAST).value
+        val = (red.y - 1.0) * f_ded_total(red, tol=0.02).value
         rel = val / PFA - 1.0
         oks.append(abs(rel) < 0.02)
         details.append(f"u={u}: rel {rel:+.3%}")
@@ -118,8 +116,8 @@ def test_criterion_2_dipole_asymptotes():
     vals = {
         ("dvd", 0.25): f_dvd_total(from_invariants(y, 0.25)),
         ("dvd", 0.0): f_dvd_total(from_invariants(y, 0.0)),
-        ("ded", 0.25): f_ded_total(from_invariants(y, 0.25), settings=FAST).value,
-        ("ded", 0.0): f_ded_total(from_invariants(y, 0.0), settings=FAST).value,
+        ("ded", 0.25): f_ded_total(from_invariants(y, 0.25)).value,
+        ("ded", 0.0): f_ded_total(from_invariants(y, 0.0)).value,
     }
     targets = {("dvd", 0.25): 3.0 / 8.0, ("dvd", 0.0): 1.0 / 4.0,
                ("ded", 0.25): 3.0 / 32.0, ("ded", 0.0): 1.0 / 8.0}
@@ -192,11 +190,10 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_5_engine_r1():
-    st48 = QuadratureSettings(nodes_per_dim=48)
     worst = 0.0
     for (y, u) in [(1.5, 0.25), (2.0, 0.1), (2.0, 0.25), (3.0, 0.04), (10.0, 0.25)]:
         red = from_invariants(y, u)
-        got = f_ded_roundtrip(red, 1, st48).value
+        got = f_ded_roundtrip(red, 1).value
         worst = max(worst, abs(got / f1_ded(red) - 1.0))
     ok = worst < 1e-8
     assert report("criterion 5 (ded engine r=1)", ok, f"worst rel {worst:.1e}")
@@ -251,8 +248,8 @@ def test_criterion_7_builtin_deviation_dvd(dvd_phi_table):
     assert report("criterion 7 (built-in DvD)", ok, f"epsilon {worst:.2e} <= 9e-3")
 
 
-def _refit_epsilon(model, u_ref, table, settings):
-    fit = refit(model, u_ref, n=2, grid=GRID_Y, settings=settings)
+def _refit_epsilon(model, u_ref, table):
+    fit = refit(model, u_ref, n=2, grid=GRID_Y)
     worst = 0.0
     for u in GRID_U:
         dev = np.abs(table[u] / phi_rm(GRID_Y, fit.params) - 1.0)
@@ -262,10 +259,10 @@ def _refit_epsilon(model, u_ref, table, settings):
 
 def test_criterion_7_refit_ded(ded_phi_table):
     bound = 1.5 * 1.2e-3
-    eps = _refit_epsilon("ded", 0.1, ded_phi_table, FAST)
+    eps = _refit_epsilon("ded", 0.1, ded_phi_table)
     u_ref = 0.1
     if eps > bound:
-        eps2 = _refit_epsilon("ded", 0.15, ded_phi_table, FAST)
+        eps2 = _refit_epsilon("ded", 0.15, ded_phi_table)
         if eps2 < eps:
             eps, u_ref = eps2, 0.15
     ok = eps <= bound
@@ -275,10 +272,10 @@ def test_criterion_7_refit_ded(ded_phi_table):
 
 def test_criterion_7_refit_dvd(dvd_phi_table):
     bound = 1.5 * 5.9e-3
-    eps = _refit_epsilon("dvd", 0.1, dvd_phi_table, None)
+    eps = _refit_epsilon("dvd", 0.1, dvd_phi_table)
     u_ref = 0.1
     if eps > bound:
-        eps2 = _refit_epsilon("dvd", 0.15, dvd_phi_table, None)
+        eps2 = _refit_epsilon("dvd", 0.15, dvd_phi_table)
         if eps2 < eps:
             eps, u_ref = eps2, 0.15
     ok = eps <= bound
@@ -295,11 +292,11 @@ GRID8_Y = 1.0 + np.logspace(-2, 2, 13)
 @pytest.fixture(scope="session")
 def wide_tables():
     out = {}
-    for model, settings in (("dvd", None), ("ded", FAST)):
+    for model in ("dvd", "ded"):
         for u in (0.0, 0.1, 0.25):
             out[(model, u, "f")] = np.array([
                 f_dvd_total(from_invariants(float(y), u)) if model == "dvd"
-                else f_ded_total(from_invariants(float(y), u), settings=FAST).value
+                else f_ded_total(from_invariants(float(y), u)).value
                 for y in GRID8_Y])
             f1 = np.array([
                 f1_dvd(from_invariants(float(y), u)) if model == "dvd"

@@ -67,6 +67,23 @@ def test_compute_large_y_exits_cleanly(capsys, model):
             assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, expected, message", [
+    (["compute", "--y", "2", "--u", "1e-300", "--model", "ded"], 3, "overflows at u = 1e-300"),
+    (["curve", "--model", "ded", "--quantity", "phi", "--u", "1e-300", "--out", "-"], 3,
+     "overflows at u = 1e-300"),
+    (["compute", "--L", "1", "--R1", "1e200", "--R2", "1e200"], 2, "radii R1 = 1e+200"),
+    (["compute", "--L", "1", "--R1", "1e-200", "--R2", "1e-200"], 2, "radii R1 = 1e-200"),
+])
+def test_overflowing_inputs_exit_with_typed_code(capsys, argv, expected, message):
+    # each used to end in a raw OverflowError or ZeroDivisionError
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == expected
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["--model", "ded", "--y", "1e12", "--u", "0.1"],
                                   ["--model", "dvd", "--y", "1e200", "--u", "0.1"]])
 def test_compute_rejects_nonpositive_f1(capsys, argv):

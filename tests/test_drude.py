@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from casimir_spheres.drude import (capacitance_coeffs, f1_dvd, f_dvd_dipole,
                                    f_dvd_total, mutual_capacitance_maxwell)
 from casimir_spheres.electrolyte import f_ded_total
+from casimir_spheres.errors import ConvergenceError
 from casimir_spheres.geometry import PLANE, SphereGeometry, from_invariants, reduce
 from casimir_spheres.scalar import ZETA3, f_sc_total
 from casimir_spheres.validation import DRUDE_VACUUM, f_roundtrip_planewave
@@ -137,3 +139,14 @@ def test_dvd_exceeds_ded_pointwise():
     for (y, u) in [(1.5, 0.25), (2.0, 0.1), (5.0, 0.25), (20.0, 0.04)]:
         red = from_invariants(y, u)
         assert f_dvd_total(red) > f_ded_total(red).value
+
+
+@pytest.mark.parametrize("y, u", [(1.7e308, 0.25), (9e307, 0.1), (5e307, 0.1), (1e200, 1e-300)])
+def test_capacitance_scale_overflow_raises_at_once(y, u):
+    # sqrt(alpha) e^varpi overflows: every term is 0, and summing 1e7 of them took 2.4 s
+    red = from_invariants(y, u)
+    for fn in (capacitance_coeffs, f_dvd_total):
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="capacitance"):
+            fn(red)
+        assert time.perf_counter() - t0 < 0.1

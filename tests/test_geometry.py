@@ -116,6 +116,23 @@ def test_roundtrip_reduce_realize(y, u):
     assert back.u == pytest.approx(u, rel=1e-12)
 
 
+@pytest.mark.parametrize("R1, R2", [(1e200, 1e200), (1e-200, 1e-200), (1e155, 1.0),
+                                    (1e10, 1e-300)])
+def test_reduce_rejects_radii_beyond_double_range(R1, R2):
+    # (R1 + R2)**2 overflows, R1 R2 underflows, or R1/R2 overflows
+    for a, b in ((R1, R2), (R2, R1)):
+        with pytest.raises(DomainError, match="radii"):
+            reduce(SphereGeometry(L=1.0, R1=a, R2=b))
+
+
+def test_from_invariants_rejects_subnormal_u():
+    # alpha1 ~ 1/u overflows; u = 0 remains the plane
+    assert math.isfinite(from_invariants(2.0, 1e-300).alpha1)
+    for u in (1e-310, 5e-324):
+        with pytest.raises(DomainError, match="u = 0 is the plane"):
+            from_invariants(2.0, u)
+
+
 def test_roundtrip_plane():
     red = from_invariants(3.0, 0.0)
     back = reduce(to_sphere_geometry(red))

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_spheres.cli import build_parser
-from casimir_spheres.electrolyte import QuadratureSettings
 from casimir_spheres.errors import DomainError
 from casimir_spheres.geometry import from_invariants
 from casimir_spheres.models import MODELS
@@ -16,8 +15,6 @@ from casimir_spheres.rational import (DED_PARAMS, DVD_PARAMS, FitResult,
                                       default_fit_grid, f_approx,
                                       max_deviation, phi_rm, phi_u, refit)
 from casimir_spheres.scalar import ZETA3
-
-FAST = QuadratureSettings(nodes_per_dim=12, qmc_points=2**12)
 
 
 def test_params_validation():
@@ -67,7 +64,7 @@ def test_phi_rm_positive_continuous(nu, mu, y):
 def test_phi_u_endpoints():
     # far: single round trip dominates
     assert phi_u(from_invariants(1e3, 0.25), "dvd") == pytest.approx(1.0, abs=1e-3)
-    assert phi_u(from_invariants(1e3, 0.25), "ded", FAST) == pytest.approx(1.0, abs=1e-3)
+    assert phi_u(from_invariants(1e3, 0.25), "ded") == pytest.approx(1.0, abs=1e-3)
     # close: the ratio climbs towards Apery's constant
     assert phi_u(from_invariants(1.001, 0.25), "dvd") == pytest.approx(ZETA3, rel=2e-2)
 
@@ -95,7 +92,7 @@ def test_max_deviation_degenerate_self_test():
 
 def test_max_deviation_small_on_modest_grid():
     grid = [(y, u) for y in (1.5, 2.0, 4.0) for u in (0.1, 0.25)]
-    dev = max_deviation(DED_PARAMS, "ded", grid, settings=FAST)
+    dev = max_deviation(DED_PARAMS, "ded", grid)
     assert dev < 2e-3
     dev_dvd = max_deviation(DVD_PARAMS, "dvd", grid)
     assert dev_dvd < 9e-3
@@ -136,7 +133,7 @@ def test_f_approx_matches_total_within_epsilon():
     from casimir_spheres.electrolyte import f_ded_total
     from casimir_spheres.drude import f_dvd_total
     assert f_approx(red, "ded") == pytest.approx(
-        f_ded_total(red, settings=FAST).value, rel=2e-3)
+        f_ded_total(red).value, rel=2e-3)
     assert f_approx(red, "dvd") == pytest.approx(f_dvd_total(red), rel=9e-3)
     # large y: phi_rm -> 1 so the approximant collapses onto f1
     red_far = from_invariants(200.0, 0.1)
