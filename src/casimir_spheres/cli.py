@@ -125,24 +125,33 @@ def cmd_compute(args) -> int:
 
 
 def _curve_point(model, quantity, y, u, totals, params):
-    """One CSV row's (value, error) from the precomputed ``totals``."""
+    """One CSV row's (value, error) from the precomputed ``totals``.
+
+    A quantity read through f1 is nan where f1 (and, for
+    ``phi_over_quarter``, f1 at u = 1/4) is not positive: its closed
+    form has lost every digit there, for which ``compute`` exits 3.
+    """
     red = from_invariants(y, u)
     f1 = get_model(model).f1
+    if quantity in ("f1", "phi", "phi_over_quarter", "f_approx"):
+        f1_red = f1(red)
+        f1_q = f1(from_invariants(y, 0.25)) if quantity == "phi_over_quarter" else f1_red
+        if not (f1_red > 0.0 and f1_q > 0.0):
+            return math.nan, math.nan
     if quantity == "f1":
-        return f1(red), 0.0
+        return f1_red, 0.0
     if quantity == "f_approx":
         return f_approx(red, model, params), 0.0
     f, err = totals[model, y, u]
     if quantity == "f":
         return f, err
     if quantity == "phi":
-        f1_red = f1(red)
         return f / f1_red, err / f1_red
     fq, errq = totals[model, y, 0.25]
     if quantity == "ratio_u_over_quarter":
         val = f / fq
         return val, abs(val) * (err / abs(f) + errq / abs(fq))
-    p = (f / f1(red)) / (fq / f1(from_invariants(y, 0.25)))
+    p = (f / f1_red) / (fq / f1_q)
     return p, abs(p) * (err / abs(f) + errq / abs(fq))
 
 
@@ -185,7 +194,7 @@ def cmd_curve(args) -> int:
     def point(model, y, u):
         try:
             return _curve_point(model, args.quantity, y, u, totals, params.get(model))
-        except ZeroDivisionError:  # f1 or the u = 1/4 total is 0 at this y
+        except ZeroDivisionError:  # a total is 0 at this y
             return math.nan, math.nan
 
     rows = sorted(

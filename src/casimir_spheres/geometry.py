@@ -13,8 +13,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from scipy.constants import Boltzmann
-
 from .errors import DomainError
 
 __all__ = [
@@ -29,6 +27,8 @@ __all__ = [
 
 #: Distinguished radius value meaning "the second body is a plane".
 PLANE = math.inf
+#: Boltzmann constant in J/K, exact in the 2019 SI (``scipy.constants.Boltzmann``).
+Boltzmann = 1.380649e-23
 
 
 @dataclass(frozen=True)

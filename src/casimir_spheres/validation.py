@@ -20,8 +20,6 @@ from functools import partial
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.stats import qmc
-from scipy.special import ndtri
 
 from .errors import DomainError, QuadratureError
 from .geometry import ReducedGeometry
@@ -165,6 +163,9 @@ def _planewave_plane_sphere(model, red, r: int, nodes: int) -> float:
 
 def _planewave_sphere_sphere_r2(model, red, npts: int, seed: int) -> tuple:
     """8-dim QMC with Gaussian map for two round trips, two spheres."""
+    # imported here: scipy.stats is half of the package's import time, and only this reads it
+    from scipy.special import ndtri
+    from scipy.stats import qmc
     kern = partial(reflection_tm, model)
     c1 = 2.0 * math.sqrt(red.alpha1 / red.z)
     c2 = 2.0 * math.sqrt(red.alpha2 / red.z)

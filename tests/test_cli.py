@@ -214,6 +214,20 @@ def test_curve_phi_quantity(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    [f"--quantity={q}", "--model=dvd", "--u=0.1", "--ymin=1e199", "--ymax=1e200"]
+    for q in ("f1", "phi", "phi_over_quarter", "f_approx")
+] + [[f"--quantity={q}", "--model=ded", "--ymin=1e11", "--ymax=1e12"]
+     for q in ("f1", "phi", "phi_over_quarter", "f_approx")])
+def test_curve_marks_nonpositive_f1_nan(capsys, argv):
+    # f1's closed form has changed sign at these y; rows read through it
+    # used to carry f1 = -2.5e-201, phi = -2 or a negative error estimate
+    assert main(["curve", *argv, "--points", "2", "--out", "-"]) == 0
+    rows = capsys.readouterr().out.splitlines()[4:]
+    assert len(rows) == 2
+    assert all(row.endswith(",nan,nan") for row in rows), rows
+
+
 def test_config_file_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"points": 3, "u": "0.25", "ymin": 0.5, "ymax": 5.0}))
