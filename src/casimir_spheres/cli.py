@@ -6,9 +6,9 @@ compute
     Evaluate the reduced free energy of one geometry for one or all
     models, optionally converting to SI units at a given temperature.
 curve
-    Sweep a y grid for one or more u values and write a CSV dataset
-    (deterministic for a fixed seed, suitable for regenerating the
-    figure-style curves).
+    Sweep a y grid for one or more u values and write a CSV dataset,
+    suitable for regenerating the figure-style curves.  It is
+    deterministic: ``--seed`` is only recorded in the CSV header.
 fit
     Refit the rational approximant and write the parameters as JSON.
 validate
@@ -18,6 +18,7 @@ validate
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -66,6 +67,20 @@ def _total(model, red, args):
     return res.value, res.error
 
 
+def _f1(model, red):
+    """``model``'s f1 at ``red``; ConvergenceError where it is not positive.
+
+    There its closed form has lost every digit (very large y), so no
+    quantity read through it has a value: ``compute`` exits 3 and
+    ``curve`` writes a nan row.
+    """
+    f1 = get_model(model).f1(red)
+    if not f1 > 0.0:
+        raise ConvergenceError(f"f1 = {f1:.6g} at y = {red.y:.6g} is not positive, "
+                               "so phi = f/f1 is meaningless")
+    return f1
+
+
 def _check_grid(args):
     for flag in ("ymin", "ymax"):
         if not math.isfinite(getattr(args, flag)):
@@ -99,10 +114,7 @@ def cmd_compute(args) -> int:
     failed = []
     for model in models:
         try:
-            f1 = get_model(model).f1(red)
-            if not f1 > 0.0:
-                raise ConvergenceError(f"f1 = {f1:.6g} at y = {red.y:.6g} is not positive, "
-                                       "so phi = f/f1 is meaningless")
+            f1 = _f1(model, red)
             f, err = _total(model, red, args)
         except DomainError:
             raise
@@ -124,33 +136,28 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _curve_point(model, quantity, y, u, totals, params):
-    """One CSV row's (value, error) from the precomputed ``totals``.
+def _curve_point(model, quantity, y, u, total, params):
+    """One CSV row's (value, error); ``total(model, y, u)`` returns a total's.
 
-    A quantity read through f1 is nan where f1 (and, for
-    ``phi_over_quarter``, f1 at u = 1/4) is not positive: its closed
-    form has lost every digit there, for which ``compute`` exits 3.
+    Raises ConvergenceError where a quantity read through f1 has no
+    value (see :func:`_f1`).
     """
+    if quantity == "f":
+        return total(model, y, u)
+    if quantity == "ratio_u_over_quarter":
+        (f, err), (fq, errq) = total(model, y, u), total(model, y, 0.25)
+        val = f / fq
+        return val, abs(val) * (err / abs(f) + errq / abs(fq))
     red = from_invariants(y, u)
-    f1 = get_model(model).f1
-    if quantity in ("f1", "phi", "phi_over_quarter", "f_approx"):
-        f1_red = f1(red)
-        f1_q = f1(from_invariants(y, 0.25)) if quantity == "phi_over_quarter" else f1_red
-        if not (f1_red > 0.0 and f1_q > 0.0):
-            return math.nan, math.nan
+    f1_red = _f1(model, red)
     if quantity == "f1":
         return f1_red, 0.0
     if quantity == "f_approx":
         return f_approx(red, model, params), 0.0
-    f, err = totals[model, y, u]
-    if quantity == "f":
-        return f, err
+    f, err = total(model, y, u)
     if quantity == "phi":
         return f / f1_red, err / f1_red
-    fq, errq = totals[model, y, 0.25]
-    if quantity == "ratio_u_over_quarter":
-        val = f / fq
-        return val, abs(val) * (err / abs(f) + errq / abs(fq))
+    (fq, errq), f1_q = total(model, y, 0.25), _f1(model, from_invariants(y, 0.25))
     p = (f / f1_red) / (fq / f1_q)
     return p, abs(p) * (err / abs(f) + errq / abs(fq))
 
@@ -176,25 +183,19 @@ def cmd_curve(args) -> int:
         if args.params != "builtin":
             params = dict.fromkeys(models, _read_params(args.params, models))
 
-    # every distinct (model, y, u) total is evaluated once; the ratio
-    # quantities share the u = 1/4 reference across their u values
-    refs = [0.25] if args.quantity in ("ratio_u_over_quarter", "phi_over_quarter") else []
-    total_us = [] if args.quantity in ("f1", "f_approx") else u_values + refs
-    keys = dict.fromkeys((model, y, u) for model in models for u in total_us for y in ys)
-
-    def run(key):
-        model, y, u = key
+    @functools.cache
+    def total(model, y, u):
+        # each (model, y, u) total, a failed one too, is evaluated once,
+        # when a row first reads it; the ratio quantities share u = 1/4
         try:
             return _total(model, from_invariants(y, u), args)
         except ConvergenceError:
             return math.nan, math.nan
 
-    totals = {key: run(key) for key in keys}
-
     def point(model, y, u):
         try:
-            return _curve_point(model, args.quantity, y, u, totals, params.get(model))
-        except ZeroDivisionError:  # a total is 0 at this y
+            return _curve_point(model, args.quantity, y, u, total, params.get(model))
+        except (ConvergenceError, ZeroDivisionError):  # no digits left, or a total is 0
             return math.nan, math.nan
 
     rows = sorted(
@@ -344,17 +345,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed of fit's start and validate's random rings; curve records it")
+    def add_common(p, seed_help=None):
+        """``--config``, and ``--seed`` where ``seed_help`` says what it seeds."""
+        if seed_help is not None:
+            p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("--config", action=_Config, default=None,
                        help="JSON file with defaults for this command (flags win)")
 
-    def add_totals(p):
-        """Flags of the subcommands that sum totals: ``fit`` and ``validate`` sum none."""
+    def add_tol(p):
+        """``--tol``, on the subcommands that sum totals: ``fit`` and ``validate`` sum none."""
         p.add_argument("--tol", type=_checked(float, lambda t: 0.0 < t < 1.0, "lie in (0, 1)"),
                        default=1e-4, help="relative accuracy target for summed quantities")
-        add_common(p)
 
     pc = sub.add_parser("compute", help="evaluate one geometry")
     pc.add_argument("--L", type=float, default=None, help="surface gap")
@@ -365,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--u", type=float, default=None, help="radius-ratio parameter in [0, 1/4]")
     pc.add_argument("--model", choices=MODELS + ("all",), default="all")
     pc.add_argument("--T", type=float, default=None, help="temperature in kelvin")
-    add_totals(pc)
+    add_tol(pc)
+    add_common(pc)
     pc.set_defaults(func=cmd_compute)
 
     pv = sub.add_parser("curve", help="write a CSV dataset over a y grid")
@@ -383,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", type=str, default="-", help="output CSV path ('-' = stdout)")
     pv.add_argument("--params", type=str, default="builtin",
                     help="rational-model parameters for f_approx: 'builtin' or a JSON path")
-    add_totals(pv)
+    add_tol(pv)
+    add_common(pv, "recorded in the CSV header; curve is deterministic and reads no seed")
     pv.set_defaults(func=cmd_curve)
 
     pf = sub.add_parser("fit", help="refit the rational approximant")
@@ -394,11 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--ymax", type=float, default=10.0)
     pf.add_argument("--points", type=int, default=200)
     pf.add_argument("--out", type=str, default=None, help="write parameters JSON here")
-    add_common(pf)
+    add_common(pf, "perturbs the fit's starting point")
     pf.set_defaults(func=cmd_fit)
 
     pval = sub.add_parser("validate", help="run the oracle-equivalence suite")
-    add_common(pval)
+    add_common(pval, "seed of the random determinant rings")
     pval.set_defaults(func=cmd_validate)
     return parser
 

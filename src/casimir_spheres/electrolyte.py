@@ -123,40 +123,6 @@ def _link_coefficients(red: ReducedGeometry, r: int) -> np.ndarray:
     return out
 
 
-def _det_chain(coups: list, sigma: int):
-    """Determinant of the unit-diagonal cyclic tridiagonal coupling matrix.
-
-    ``coups`` holds one (broadcastable) array per link; entry i couples
-    sites i and i+1, the last link closes the ring with sign ``sigma``.
-    A single link is a self-loop (determinant 1 - 2 sigma a); two links
-    share one matrix entry (determinant 1 - (a1 + sigma a2)^2).  For
-    n >= 3 the determinant is assembled from open-chain continuants plus
-    the ring-closure term; this is the transfer-matrix evaluation.
-    """
-    n = len(coups)
-    if n == 1:
-        return 1.0 - 2.0 * sigma * coups[0]
-    if n == 2:
-        s = coups[0] + sigma * coups[1]
-        return 1.0 - s * s
-    sq = [c ** 2 for c in coups]
-    # open-chain continuant P_n over links 0..n-2
-    p_prev = 1.0
-    p = 1.0
-    prod = sigma * coups[0]
-    for i in range(n - 1):
-        p_prev, p = p, p - sq[i] * p_prev
-        if i >= 1:
-            prod = prod * coups[i]
-    # interior continuant over links 1..n-3 (sites 2..n-1)
-    q_prev = 1.0
-    q = 1.0
-    for i in range(1, n - 2):
-        q_prev, q = q, q - sq[i] * q_prev
-    sign = -2.0 if n % 2 == 0 else 2.0
-    return p - sq[n - 1] * q + sign * prod * coups[n - 1]
-
-
 def det_roundtrip_matrix(spec: RoundTripMatrixSpec, red: ReducedGeometry) -> float:
     """Dense-LU determinant of the 2r-dimensional round-trip matrix.
 
@@ -179,10 +145,31 @@ def det_roundtrip_matrix(spec: RoundTripMatrixSpec, red: ReducedGeometry) -> flo
 
 
 def det_roundtrip_transfer(spec: RoundTripMatrixSpec, red: ReducedGeometry) -> float:
-    """Transfer-matrix (continuant) evaluation of the same determinant."""
+    """Transfer-matrix (continuant) evaluation of the same determinant.
+
+    Link i couples sites i and i+1; the last link closes the ring with
+    sign sigma.  Two links share one matrix entry (determinant
+    1 - (a1 + sigma a2)^2).  For n = 2r >= 4 links the determinant is the
+    open-chain continuant, less the ring-closure continuant, less twice
+    sigma times the product of the links (n is even).
+    """
     coefs = _link_coefficients(red, spec.r)
     a = list(coefs * np.asarray(spec.t, dtype=float))
-    return float(_det_chain(a, spec.sigma))
+    n, sigma = len(a), spec.sigma
+    if n == 2:
+        s = a[0] + sigma * a[1]
+        return float(1.0 - s * s)
+    sq = [c ** 2 for c in a]
+    # open-chain continuant P_n over links 0..n-2
+    p_prev = p = 1.0
+    for i in range(n - 1):
+        p_prev, p = p, p - sq[i] * p_prev
+    # interior continuant over links 1..n-3 (sites 2..n-1)
+    q_prev = q = 1.0
+    for i in range(1, n - 2):
+        q_prev, q = q, q - sq[i] * q_prev
+    prod = math.prod(a[:-1], start=sigma)
+    return float(p - sq[n - 1] * q - 2.0 * prod * a[n - 1])
 
 
 def f1_ded(red: ReducedGeometry) -> float:

@@ -194,8 +194,8 @@ def refit(
 
     Minimizes sum_i (phi_rm(y_i)/phi_u(y_i) - 1)^2 over log(nu_k),
     log(mu_k); the log parameterization enforces positivity.  The
-    returned ``epsilon`` is the maximal deviation on the fit grid at
-    u_ref itself (use :func:`max_deviation` for a multi-u figure).  The
+    returned ``epsilon`` is :func:`max_deviation` on the fit grid at
+    u_ref itself (pass it a multi-u grid for a multi-u figure).  The
     fit starts from the built-in parameters, or from a geometric ladder
     between them when the order differs.
 
@@ -254,7 +254,7 @@ def refit(
     nu = tuple(float(v) for v in np.exp(result.x[:n]))
     mu = tuple(float(v) for v in np.exp(result.x[n:]))
     params = RationalModelParams(nu=nu, mu=mu, model_tag=model)
-    eps = float(np.max(np.abs(phi_rm(grid, params) / phi_ref - 1.0)))
+    eps = max_deviation(params, model, [(y, u_ref) for y in grid])
     spec = {
         "u_ref": u_ref,
         "y_minus_1_min": float(grid.min() - 1.0),
@@ -284,7 +284,7 @@ def max_deviation(params: RationalModelParams, model: str, grid) -> float:
     for y, u in pairs:
         p = phi_u(from_invariants(y, u), model)
         worst = max(worst, abs(p / phi_rm(y, params) - 1.0))
-    return worst
+    return float(worst)
 
 
 def f_approx(red: ReducedGeometry, model: str,

@@ -69,19 +69,32 @@ def test_compute_large_y_exits_cleanly(capsys, model):
 
 @pytest.mark.parametrize("argv, expected, message", [
     (["compute", "--y", "2", "--u", "1e-300", "--model", "ded"], 3, "overflows at u = 1e-300"),
-    (["curve", "--model", "ded", "--quantity", "phi", "--u", "1e-300", "--out", "-"], 3,
-     "overflows at u = 1e-300"),
+    (["curve", "--model", "ded", "--quantity", "phi", "--u", "1e-300", "--out", "-"], 0,
+     "0.01,1e-300,ded,phi,nan,nan"),
     (["compute", "--L", "1", "--R1", "1e200", "--R2", "1e200"], 2, "radii R1 = 1e+200"),
     (["compute", "--L", "1", "--R1", "1e-200", "--R2", "1e-200"], 2, "radii R1 = 1e-200"),
 ])
 def test_overflowing_inputs_exit_with_typed_code(capsys, argv, expected, message):
-    # each used to end in a raw OverflowError or ZeroDivisionError
+    # each used to end in a raw OverflowError or ZeroDivisionError; where
+    # compute exits 3, curve writes a nan row
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
     assert code == expected
-    assert message in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert message in (out.out if expected == 0 else out.err)
+
+
+@pytest.mark.parametrize("quantity", cli.QUANTITIES)
+def test_curve_writes_nan_rows_where_f1_overflows(capsys, quantity):
+    # f1_ded overflows at u = 1e-300 (ConvergenceError): through f1 or
+    # through the total, every row is nan and curve exits 0
+    assert main(["curve", "--model", "ded", "--quantity", quantity, "--u", "1e-300",
+                 "--ymin", "1", "--ymax", "2", "--points", "2", "--out", "-"]) == 0
+    rows = capsys.readouterr().out.splitlines()[4:]
+    assert len(rows) == 2
+    assert all(row.endswith(",nan,nan") for row in rows), rows
 
 
 @pytest.mark.parametrize("argv", [["--model", "ded", "--y", "1e12", "--u", "0.1"],
@@ -127,10 +140,13 @@ GRID = ["--ymin", "1", "--ymax", "2", "--points", "2"]
     (["curve", "--model", "dvd", "--tol", "2", *GRID], None, "--tol"),
     (["curve", "--model", "scalar", "--rmax", "-3", *GRID], None, "--rmax"),
     (["compute", "--y", "2", "--u", "0.1"], {"tol": "nan"}, "--tol"),
+    (["compute", "--y", "2", "--u", "0.1", "--seed", "1"], None, "--seed"),
+    (["compute", "--y", "2", "--u", "0.1"], {"seed": 1}, "seed"),
 ], ids=["compute-tol-nan", "compute-ded-rmax-0", "curve-dvd-tol-2", "curve-scalar-rmax-neg",
-        "config-tol-nan"])
+        "config-tol-nan", "compute-seed", "config-compute-seed"])
 def test_totals_flags_checked_before_output(tmp_path, capsys, argv, config, flag):
-    # every model, from argv or --config: exit 2 before the geometry lines or a CSV
+    # every model, from argv or --config: exit 2 before the geometry lines or a CSV;
+    # compute draws nothing at random, so it has no --seed
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_spheres.electrolyte import (QuadratureSettings, RoundTripMatrixSpec,
-                                         _det_chain, det_roundtrip_matrix,
-                                         det_roundtrip_transfer, f1_ded,
-                                         f_ded_dipole, f_ded_roundtrip,
+                                         det_roundtrip_matrix, det_roundtrip_transfer,
+                                         f1_ded, f_ded_dipole, f_ded_roundtrip,
                                          f_ded_total)
 from casimir_spheres.errors import ConvergenceError, DomainError
 from casimir_spheres.geometry import from_invariants
@@ -243,48 +242,3 @@ def test_ring_determinant_invariant_under_link_symmetries():
         if u < 0.25:
             moved = det_roundtrip_matrix(RoundTripMatrixSpec(r, tuple(t[list(rot1)]), sigma), red)
             assert abs(moved / base - 1.0) > 1e-6
-
-
-def _dense_ring_det(a, sigma):
-    """Dense determinant of the unit-diagonal cyclic coupling matrix with links ``a``."""
-    n = len(a)
-    if n == 1:
-        return 1.0 - 2.0 * sigma * a[0]
-    m = np.eye(n)
-    if n == 2:
-        m[0, 1] = m[1, 0] = a[0] + sigma * a[1]
-    else:
-        for i in range(n - 1):
-            m[i, i + 1] = m[i + 1, i] = a[i]
-        m[0, n - 1] = m[n - 1, 0] = sigma * a[n - 1]
-    return np.linalg.det(m)
-
-
-@pytest.mark.parametrize("npts", (37, 1000, 8192, 8193, 2 * 8192 + 123))
-def test_tiled_dets_equal_one_shot_gather(npts):
-    # _det_chain is elementwise over the points: evaluated tile by tile it
-    # gives the one-shot values bit for bit, and each value is the ring's
-    # dense determinant.  Coefficients alternate (two spheres), are equal
-    # (equal radii) or are 1/(2y) (plane chain); below 1/2 every ring
-    # determinant is positive.
-    rng = np.random.default_rng(npts)
-    tile = 1024
-    for k in range(24):
-        n = int(rng.integers(1, 11))
-        kind = k % 3
-        if kind == 0:
-            coefs = np.resize(rng.uniform(0.05, 0.49, 2), n)
-        elif kind == 1:
-            coefs = np.full(n, rng.uniform(0.05, 0.49))
-        else:
-            coefs = np.full(n, 1.0 / (2.0 * rng.uniform(1.02, 3.0)))
-        sigma = int(rng.choice((-1, 1)))
-        coups = coefs[:, None] * rng.random((n, npts))
-        one_shot = _det_chain(list(coups), sigma)
-        tiled = np.concatenate([_det_chain(list(coups[:, s:s + tile]), sigma)
-                                for s in range(0, npts, tile)])
-        assert one_shot.shape == (npts,) and np.array_equal(tiled, one_shot)
-        assert (one_shot > 0.0).all()
-        for j in rng.choice(npts, 5, replace=False):
-            assert one_shot[j] == pytest.approx(_dense_ring_det(coups[:, j], sigma),
-                                                rel=1e-12, abs=0.0)

@@ -111,6 +111,13 @@ def test_refit_dvd_beats_builtin_locally_and_n1_is_worse():
     assert fit1.epsilon > fit2.epsilon  # nested model classes
 
 
+def test_refit_epsilon_is_max_deviation_on_its_grid():
+    # one definition of the deviation, |phi_u/phi_rm - 1|, for both
+    grid = default_fit_grid(points=60)
+    fit = refit("dvd", u_ref=0.1, n=2, grid=grid)
+    assert fit.epsilon == max_deviation(fit.params, "dvd", [(y, 0.1) for y in grid])
+
+
 def test_refit_reproducible_epsilon():
     grid = default_fit_grid(points=60)
     a = refit("dvd", u_ref=0.1, n=2, grid=grid, seed=1)
