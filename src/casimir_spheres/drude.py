@@ -50,14 +50,18 @@ class CapacitanceMatrix:
     det_minus_one: float
 
 
-def _self_series(varpi: float, sa: float, sb: float, tol: float) -> float:
-    """Sum_n sinh(varpi) / (sa sinh(n varpi) + sb sinh((n+1) varpi)).
+def _capacitance_sums(varpi: float, tol: float, scales=()) -> list[float]:
+    """The capacitance series, summed in one pass of :func:`_series_sum`.
 
-    Evaluated as e^{(1-n)varpi}(1-e^{-2varpi}) /
-    [sa (1-e^{-2n varpi}) + sb e^{varpi} (1-e^{-2(n+1)varpi})],
-    stable for both small and large varpi.  Raises
-    :class:`ConvergenceError` where the scale sb e^varpi overflows (y near
-    the largest double), since every term would be 0 there.
+    One self series per ``(sa, sb)`` in ``scales``,
+    Sum_n sinh(varpi) / (sa sinh(n varpi) + sb sinh((n+1) varpi)),
+    then the mutual series Sum_{m>=1} sinh(varpi)/sinh(m varpi).  The
+    self terms are evaluated as e^{(1-n)varpi}(1-e^{-2varpi}) /
+    [sa (1-e^{-2n varpi}) + sb e^{varpi} (1-e^{-2(n+1)varpi})], stable for
+    both small and large varpi; the mutual term at m = n + 1 shares its
+    denominator factor and its power of q = e^{-varpi}.  Raises
+    :class:`ConvergenceError` where a scale sb e^varpi overflows (y near
+    the largest double), since every self term would be 0 there.
     """
     q = math.exp(-varpi)
     e2 = -math.expm1(-2.0 * varpi)
@@ -65,27 +69,19 @@ def _self_series(varpi: float, sa: float, sb: float, tol: float) -> float:
         ew = math.exp(varpi)
     except OverflowError:
         ew = math.inf
-    if sb * ew == math.inf:
+    if any(sb * ew == math.inf for _, sb in scales):
         raise ConvergenceError(f"capacitance series: its scale overflows at varpi = {varpi:.6g}")
 
-    def term(n):
+    def terms(n):
+        b = -np.expm1(-2.0 * (n + 1.0) * varpi)
+        mutual = q ** n * e2 / b
+        if not scales:
+            return mutual[None]
+        a = -np.expm1(-2.0 * n * varpi)
         num = q ** (n - 1.0) * e2
-        den = sa * (-np.expm1(-2.0 * n * varpi)) + sb * ew * (-np.expm1(-2.0 * (n + 1.0) * varpi))
-        return num / den
+        return np.stack([num / (sa * a + sb * ew * b) for sa, sb in scales] + [mutual])
 
-    return _series_sum(term, tol, "capacitance")
-
-
-def _mutual_series(varpi: float, tol: float) -> float:
-    """Sum_{m>=1} sinh(varpi)/sinh(m varpi)."""
-    q = math.exp(-varpi)
-    e2 = -math.expm1(-2.0 * varpi)
-
-    def term(n):  # n = 0, 1, ... maps to m = n + 1
-        m = n + 1.0
-        return q ** (m - 1.0) * e2 / (-np.expm1(-2.0 * m * varpi))
-
-    return _series_sum(term, tol, "mutual capacitance")
+    return _series_sum(terms, tol, "capacitance")
 
 
 def capacitance_coeffs(red: ReducedGeometry, tol: float = 1e-12) -> CapacitanceMatrix:
@@ -101,15 +97,13 @@ def capacitance_coeffs(red: ReducedGeometry, tol: float = 1e-12) -> CapacitanceM
     -------
     CapacitanceMatrix
     """
-    w = red.varpi
     if red.is_plane:
-        s1 = _mutual_series(w, tol)
+        [s1] = _capacitance_sums(red.varpi, tol)
         return CapacitanceMatrix(c11=s1, c22=1.0, c12=0.0, det=s1, det_minus_one=s1 - 1.0)
     sa1 = math.sqrt(red.alpha1)
     sa2 = math.sqrt(red.alpha2)
-    c11 = _self_series(w, sa1, sa2, tol)
-    c22 = _self_series(w, sa2, sa1, tol)
-    c12 = -_mutual_series(w, tol) / math.sqrt(red.z)
+    c11, c22, mutual = _capacitance_sums(red.varpi, tol, ((sa1, sa2), (sa2, sa1)))
+    c12 = -mutual / math.sqrt(red.z)
     # det - 1 without cancellation: c11 = sa1 (1 + d1), c22 = sa2 (1 + d2)
     # and sa1*sa2 = 1, so det - 1 = sa1*B + sa2*A + A*B - c12^2 with
     # A = c11 - sa1, B = c22 - sa2 (the n >= 1 partial sums).
@@ -127,13 +121,19 @@ def mutual_capacitance_maxwell(red: ReducedGeometry, tol: float = 1e-12) -> floa
     sqrt(R1 R2) * c12.
     """
     uz = 1.0 if red.is_plane else red.u * red.z
-    return -red.r_eff / math.sqrt(uz) * _mutual_series(red.varpi, tol)
+    return -red.r_eff / math.sqrt(uz) * _capacitance_sums(red.varpi, tol)[0]
 
 
 def f_dvd_total(red: ReducedGeometry, tol: float = 1e-12) -> float:
     """Total reduced free energy, all round trips.
 
-    f = f_scalar - log1p(det - 1) / 2; positive for every valid geometry.
+    f = f_scalar - log1p(det - 1) / 2.  Reliable, to about 1e-3 relative
+    against the dipole law 3/(8y^3), up to y of about 1e4.  Further out
+    det - 1 is lost to cancellation, and the value with it: at y = 1e5 it
+    is 0.65 to 0.79 times the dipole law, from y = 1e6 it can be negative
+    (-4.1e-18 at y = 1e10, u = 1/4), and from y of about 1e15 it is
+    rounding noise of order 1e-16 or about 1/(2y).  ROADMAP.md, item 5,
+    describes the fix.
     """
     cap = capacitance_coeffs(red, tol)
     return f_sc_total(red, tol) - 0.5 * math.log1p(cap.det_minus_one)

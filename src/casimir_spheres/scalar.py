@@ -8,6 +8,8 @@ zeta(3) / (8(y-1)) shared by all models.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
@@ -57,48 +59,68 @@ def f_sc_roundtrip(red: ReducedGeometry, r: int) -> float:
     return float(_roundtrip_terms(red.varpi, np.asarray([float(r)]))[0])
 
 
-def _series_sum(term_fn, tol: float, what: str) -> float:
-    """Sum term_fn(n) for n = 0, 1, ... until term < tol * partial sum.
+def _series_sum(term_fn, tol: float, what: str) -> list[float]:
+    """Sum each row of term_fn(n), n = 0, 1, ..., until term < tol * partial sum.
 
-    ``term_fn`` maps a float array of indices to the positive terms.  The
-    cost follows the number of terms needed, about ln(1/tol)/varpi for
-    the series in q = exp(-varpi), not a fixed chunk.  The first call
-    asks for the head (n < 32) and one probe term per candidate window
-    end.  A probe below tol times the head's sum lies at or past the
-    stopping term, so the next window ends at the first such probe.
+    ``term_fn`` maps a float array of n indices to a (k, n) array of
+    positive terms, one row per series; the k sums are returned, each
+    stopped at its own first term below ``tol`` times its partial sum.
+    The cost follows the number of terms needed, about ln(1/tol)/varpi
+    for the series in q = exp(-varpi), not a fixed chunk.  The first
+    call asks for the head (n < 32) and one probe term per candidate
+    window end.  A probe below tol times its row's head sum lies at or
+    past that row's stopping term, so the next window ends at the first
+    such probe; rows share their windows, which run to the farthest end
+    any unfinished row needs.
 
-    Windows never cross a multiple of 4096.  Each 4096-term chunk keeps
-    one running sum, carried from window to window, and the total of the
-    earlier chunks is added to it; so every split of a chunk into windows
-    gives the same bits as summing the chunk at once.
+    Windows never cross a multiple of 4096.  Each 4096-term chunk of a
+    row keeps one running sum, carried from window to window, and the
+    total of the earlier chunks is added to it; so every split of a chunk
+    into windows gives the same bits as summing the chunk at once, and
+    each row's sum is the one it has when summed alone.
     """
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tolerance must lie in (0, 1), got {tol}")
     first = term_fn(_FIRST)
-    terms, probes = first[:_HEAD], first[_HEAD:]
-    end = None
-    total = carry = 0.0
+    terms, probes = first[:, :_HEAD], first[:, _HEAD:]
+    sums = [None] * len(first)
+    ends = None
+    total, carry = 0.0, np.zeros((len(first), 1))
     hi = _HEAD
     while True:
-        part = np.cumsum(np.concatenate(([carry], terms)))[1:]
+        part = np.cumsum(np.concatenate((carry, terms), axis=1), axis=1)[:, 1:]
         csum = total + part
-        small = np.nonzero(terms < tol * csum)[0]
-        if small.size:
-            return float(csum[small[0]])
-        carry = part[-1]
+        small = terms < tol * csum
+        for i, j in enumerate(small.argmax(axis=1).tolist()):
+            if sums[i] is None and small[i, j]:
+                sums[i] = float(csum[i, j])
+        if None not in sums:
+            return sums
+        carry = part[:, -1:]
         if hi % _CHUNK == 0:
             if hi >= MAX_TERMS:
                 raise ConvergenceError(
                     f"{what} series did not converge within {MAX_TERMS} terms")
-            total, carry = float(csum[-1]), 0.0
-        if end is None:
-            hit = np.nonzero(probes < tol * carry)[0]
-            end = _ENDS[hit[0]] if hit.size else 0
+            total, carry = csum[:, -1:], np.zeros_like(carry)
+        if ends is None:
+            below = probes < tol * carry
+            ends = [_ENDS[j] if below[i, j] else 0
+                    for i, j in enumerate(below.argmax(axis=1).tolist())]
         lo = hi
-        hi = (lo // _CHUNK + 1) * _CHUNK
-        if lo < end < hi:
-            hi = end
+        chunk_end = (lo // _CHUNK + 1) * _CHUNK
+        hi = max(e if lo < e < chunk_end else chunk_end
+                 for e, s in zip(ends, sums) if s is None)
         terms = term_fn(np.arange(lo, hi, dtype=float))
+
+
+#: Bound of the scalar-total memo; it holds one entry per (varpi, tol).
+_SC_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=_SC_CACHE_SIZE)
+def _sc_sum(varpi: float, tol: float) -> float:
+    return _series_sum(lambda n: _roundtrip_terms(varpi, n + 1.0)[None], tol,
+                       f"round-trip (varpi={varpi:.3e})")[0]
 
 
 def f_sc_total(red: ReducedGeometry, tol: float = 1e-12) -> float:
@@ -108,7 +130,9 @@ def f_sc_total(red: ReducedGeometry, tol: float = 1e-12) -> float:
     times the partial sum.  Only the terms up to there are evaluated,
     about ln(1/tol)/varpi of them: a few at large y, a count that grows
     like 1/varpi near contact.  Exceeding the cap raises
-    :class:`ConvergenceError`.
+    :class:`ConvergenceError`.  The total depends on the geometry only
+    through varpi, so it is memoised per (varpi, tol) in a bounded
+    cache: every u at one y sums the series once.
 
     Parameters
     ----------
@@ -120,9 +144,7 @@ def f_sc_total(red: ReducedGeometry, tol: float = 1e-12) -> float:
     -------
     float
     """
-    varpi = red.varpi
-    return _series_sum(lambda n: _roundtrip_terms(varpi, n + 1.0), tol,
-                       f"round-trip (varpi={varpi:.3e})")
+    return _sc_sum(red.varpi, tol)
 
 
 def f_pfa(red: ReducedGeometry) -> float:
