@@ -17,14 +17,14 @@ from .geometry import (PLANE, ReducedGeometry, SphereGeometry,
 from .scalar import ZETA3, f_pfa, f_sc_roundtrip, f_sc_total
 from .drude import (CapacitanceMatrix, capacitance_coeffs, f1_dvd,
                     f_dvd_dipole, f_dvd_total, mutual_capacitance_maxwell)
-from .electrolyte import (QuadratureSettings, RoundTripMatrixSpec,
-                          ValueWithError, det_roundtrip_matrix,
-                          det_roundtrip_transfer, f1_ded, f_ded_dipole,
-                          f_ded_roundtrip, f_ded_total)
+from .electrolyte import (QuadratureSettings, ValueWithError, f1_ded,
+                          f_ded_dipole, f_ded_roundtrip, f_ded_total)
 from .rational import (DED_PARAMS, DVD_PARAMS, FitResult,
                        RationalModelParams, builtin_params, f_approx,
                        max_deviation, phi_rm, phi_u, refit)
 from . import validation
+from .validation import (RoundTripMatrixSpec, det_roundtrip_matrix,
+                         det_roundtrip_transfer)
 
 __all__ = [
     "__version__",

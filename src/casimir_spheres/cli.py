@@ -29,11 +29,11 @@ from . import __version__
 from .errors import CasimirError, ConvergenceError, DomainError
 from .geometry import (PLANE, ReducedGeometry, SphereGeometry, free_energy_si,
                        from_invariants, reduce)
-from .electrolyte import RoundTripMatrixSpec, det_roundtrip_matrix, det_roundtrip_transfer
 from .models import APPROX_MODELS, MODELS as _REGISTRY, get_model
 from .rational import (FitResult, builtin_params, default_fit_grid, f_approx,
                        max_deviation, phi_u, refit)
-from .validation import f_roundtrip_planewave
+from .validation import (RoundTripMatrixSpec, det_roundtrip_matrix, det_roundtrip_transfer,
+                         f_roundtrip_planewave)
 
 MODELS = tuple(_REGISTRY)
 QUANTITIES = ("f", "f1", "phi", "ratio_u_over_quarter", "phi_over_quarter", "f_approx")
@@ -63,7 +63,10 @@ def _geometry_from_args(args) -> ReducedGeometry:
 
 
 def _total(model, red, args):
+    """``model``'s (total, error) at ``red``; ConvergenceError where not positive (see _f1)."""
     res = get_model(model).total(red, tol=args.tol)
+    if not res.value > 0.0:
+        raise ConvergenceError(f"f = {res.value:.6g} at y = {red.y:.6g} is not positive")
     return res.value, res.error
 
 
@@ -72,7 +75,7 @@ def _f1(model, red):
 
     There its closed form has lost every digit (very large y), so no
     quantity read through it has a value: ``compute`` exits 3 and
-    ``curve`` writes a nan row.
+    ``curve`` writes a nan row.  So does a total that is not positive.
     """
     f1 = get_model(model).f1(red)
     if not f1 > 0.0:
@@ -140,14 +143,14 @@ def _curve_point(model, quantity, y, u, total, params):
     """One CSV row's (value, error); ``total(model, y, u)`` returns a total's.
 
     Raises ConvergenceError where a quantity read through f1 has no
-    value (see :func:`_f1`).
+    value (see :func:`_f1`); every f1 and total it divides by is positive.
     """
     if quantity == "f":
         return total(model, y, u)
     if quantity == "ratio_u_over_quarter":
         (f, err), (fq, errq) = total(model, y, u), total(model, y, 0.25)
         val = f / fq
-        return val, abs(val) * (err / abs(f) + errq / abs(fq))
+        return val, val * (err / f + errq / fq)
     red = from_invariants(y, u)
     f1_red = _f1(model, red)
     if quantity == "f1":
@@ -159,7 +162,7 @@ def _curve_point(model, quantity, y, u, total, params):
         return f / f1_red, err / f1_red
     (fq, errq), f1_q = total(model, y, 0.25), _f1(model, from_invariants(y, 0.25))
     p = (f / f1_red) / (fq / f1_q)
-    return p, abs(p) * (err / abs(f) + errq / abs(fq))
+    return p, p * (err / f + errq / fq)
 
 
 def cmd_curve(args) -> int:
@@ -195,7 +198,7 @@ def cmd_curve(args) -> int:
     def point(model, y, u):
         try:
             return _curve_point(model, args.quantity, y, u, total, params.get(model))
-        except (ConvergenceError, ZeroDivisionError):  # no digits left, or a total is 0
+        except ConvergenceError:  # no digits left
             return math.nan, math.nan
 
     rows = sorted(

@@ -29,11 +29,8 @@ from .geometry import ReducedGeometry
 from .scalar import f_sc_roundtrip
 
 __all__ = [
-    "RoundTripMatrixSpec",
     "QuadratureSettings",
     "ValueWithError",
-    "det_roundtrip_matrix",
-    "det_roundtrip_transfer",
     "f1_ded",
     "f_ded_roundtrip",
     "f_ded_total",
@@ -54,35 +51,6 @@ _EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
-class RoundTripMatrixSpec:
-    """Order, coupling strengths and boundary sign of a round-trip matrix.
-
-    Parameters
-    ----------
-    r : int
-        Round-trip order, >= 1; the matrix is 2r-dimensional.
-    t : tuple of float
-        2r coupling strengths, each in [0, 1].
-    sigma : int
-        Boundary sign, +1 or -1.
-    """
-
-    r: int
-    t: tuple
-    sigma: int
-
-    def __post_init__(self):
-        if self.r < 1 or int(self.r) != self.r:
-            raise DomainError(f"round-trip order must be a positive integer, got {self.r}")
-        if len(self.t) != 2 * self.r:
-            raise DomainError(f"expected {2*self.r} couplings, got {len(self.t)}")
-        if any(not 0.0 <= ti <= 1.0 for ti in self.t):
-            raise DomainError("all couplings t_i must lie in [0, 1]")
-        if self.sigma not in (+1, -1):
-            raise DomainError(f"sigma must be +1 or -1, got {self.sigma}")
-
-
-@dataclass(frozen=True)
 class QuadratureSettings:
     """Seed of the deleted quadrature; nothing reads it.  The benchmark's
     ``bench/workloads.py`` and ``bench/record_reference.py`` still build it.
@@ -100,76 +68,6 @@ class ValueWithError:
 
     def __float__(self) -> float:
         return self.value
-
-
-def _link_coefficients(red: ReducedGeometry, r: int) -> np.ndarray:
-    """Off-diagonal coefficients of the 2r-dimensional coupling matrix.
-
-    Link i carries t_i times R1/distance (even i, 0-based) or
-    R2/distance (odd i); the last link closes the ring with sign sigma.
-    """
-    if red.is_plane:
-        # the plane's coupling tends to 1, the finite sphere's to 0
-        if math.isinf(red.alpha1):
-            ca, cb = 1.0, 0.0
-        else:
-            ca, cb = 0.0, 1.0
-    else:
-        ca = math.sqrt(red.alpha1 / red.z)
-        cb = math.sqrt(red.alpha2 / red.z)
-    out = np.empty(2 * r)
-    out[0::2] = ca
-    out[1::2] = cb
-    return out
-
-
-def det_roundtrip_matrix(spec: RoundTripMatrixSpec, red: ReducedGeometry) -> float:
-    """Dense-LU determinant of the 2r-dimensional round-trip matrix.
-
-    Strictly positive for any exterior geometry (the matrix is
-    diagonally dominant since (R1+R2) is smaller than the center
-    distance).
-    """
-    coefs = _link_coefficients(red, spec.r)
-    a = coefs * np.asarray(spec.t, dtype=float)
-    n = 2 * spec.r
-    m = np.eye(n)
-    if n == 2:
-        v = a[0] + spec.sigma * a[1]
-        m[0, 1] = m[1, 0] = v
-    else:
-        for i in range(n - 1):
-            m[i, i + 1] = m[i + 1, i] = a[i]
-        m[0, n - 1] = m[n - 1, 0] = spec.sigma * a[n - 1]
-    return float(np.linalg.det(m))
-
-
-def det_roundtrip_transfer(spec: RoundTripMatrixSpec, red: ReducedGeometry) -> float:
-    """Transfer-matrix (continuant) evaluation of the same determinant.
-
-    Link i couples sites i and i+1; the last link closes the ring with
-    sign sigma.  Two links share one matrix entry (determinant
-    1 - (a1 + sigma a2)^2).  For n = 2r >= 4 links the determinant is the
-    open-chain continuant, less the ring-closure continuant, less twice
-    sigma times the product of the links (n is even).
-    """
-    coefs = _link_coefficients(red, spec.r)
-    a = list(coefs * np.asarray(spec.t, dtype=float))
-    n, sigma = len(a), spec.sigma
-    if n == 2:
-        s = a[0] + sigma * a[1]
-        return float(1.0 - s * s)
-    sq = [c ** 2 for c in a]
-    # open-chain continuant P_n over links 0..n-2
-    p_prev = p = 1.0
-    for i in range(n - 1):
-        p_prev, p = p, p - sq[i] * p_prev
-    # interior continuant over links 1..n-3 (sites 2..n-1)
-    q_prev = q = 1.0
-    for i in range(1, n - 2):
-        q_prev, q = q, q - sq[i] * q_prev
-    prod = math.prod(a[:-1], start=sigma)
-    return float(p - sq[n - 1] * q - 2.0 * prod * a[n - 1])
 
 
 def f1_ded(red: ReducedGeometry) -> float:

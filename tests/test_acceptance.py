@@ -15,15 +15,16 @@ import pytest
 
 from casimir_spheres.cli import main as cli_main
 from casimir_spheres.drude import f1_dvd, f_dvd_total
-from casimir_spheres.electrolyte import (RoundTripMatrixSpec, det_roundtrip_matrix,
-                                         det_roundtrip_transfer, f1_ded,
-                                         f_ded_roundtrip, f_ded_total)
+from casimir_spheres.electrolyte import f1_ded, f_ded_roundtrip, f_ded_total
 from casimir_spheres.geometry import from_invariants
 from casimir_spheres.rational import (DED_PARAMS, DVD_PARAMS, phi_rm, phi_u,
                                       refit)
 from casimir_spheres.scalar import ZETA3, f_sc_roundtrip, f_sc_total
 from casimir_spheres.validation import (DIELECTRIC_ELECTROLYTE, DRUDE_VACUUM,
-                                        SCALAR, f_roundtrip_planewave)
+                                        SCALAR, RoundTripMatrixSpec,
+                                        det_roundtrip_matrix,
+                                        det_roundtrip_transfer,
+                                        f_roundtrip_planewave)
 
 PFA = ZETA3 / 8.0
 

@@ -108,6 +108,16 @@ def test_compute_rejects_nonpositive_f1(capsys, argv):
     assert re.search(r"f1 = -[0-9.]+e-\d+ .* not positive", err), err
 
 
+def test_compute_rejects_nonpositive_total(capsys):
+    # f_dvd_total's two terms cancel at this y and leave f = -6.9e-17, phi = -185
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--model", "dvd", "--y", "1e6", "--u", "0.25"])
+    assert exc.value.code == 3
+    out = capsys.readouterr()
+    assert "phi" not in out.out
+    assert re.search(r"f = -[0-9.]+e-\d+ .* not positive", out.err), out.err
+
+
 def test_compute_all_reports_every_failed_model(capsys):
     # dvd (f1 = 0) and ded (f1 < 0) both fail here; scalar still prints
     with pytest.raises(SystemExit) as exc:
@@ -234,10 +244,11 @@ def test_curve_phi_quantity(tmp_path, capsys):
     [f"--quantity={q}", "--model=dvd", "--u=0.1", "--ymin=1e199", "--ymax=1e200"]
     for q in ("f1", "phi", "phi_over_quarter", "f_approx")
 ] + [[f"--quantity={q}", "--model=ded", "--ymin=1e11", "--ymax=1e12"]
-     for q in ("f1", "phi", "phi_over_quarter", "f_approx")])
+     for q in ("f1", "phi", "phi_over_quarter", "f_approx", "f", "ratio_u_over_quarter")])
 def test_curve_marks_nonpositive_f1_nan(capsys, argv):
-    # f1's closed form has changed sign at these y; rows read through it
-    # used to carry f1 = -2.5e-201, phi = -2 or a negative error estimate
+    # f1's closed form, and for ded the total, has changed sign at these y;
+    # rows read through it used to carry f1 = -2.5e-201, phi = -2, f = -1.7e-23
+    # or a negative error estimate
     assert main(["curve", *argv, "--points", "2", "--out", "-"]) == 0
     rows = capsys.readouterr().out.splitlines()[4:]
     assert len(rows) == 2

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_spheres.electrolyte import (QuadratureSettings, RoundTripMatrixSpec,
-                                         det_roundtrip_matrix, det_roundtrip_transfer,
-                                         f1_ded, f_ded_dipole, f_ded_roundtrip,
-                                         f_ded_total)
+from casimir_spheres.electrolyte import (QuadratureSettings, f1_ded, f_ded_dipole,
+                                         f_ded_roundtrip, f_ded_total)
 from casimir_spheres.errors import ConvergenceError, DomainError
 from casimir_spheres.geometry import from_invariants
 from casimir_spheres.scalar import f_sc_roundtrip
+from casimir_spheres.validation import (RoundTripMatrixSpec, det_roundtrip_matrix,
+                                        det_roundtrip_transfer)
 from test_ded_exact import multipole_orders, neumann
 
 
