@@ -32,8 +32,7 @@ from .geometry import (PLANE, ReducedGeometry, SphereGeometry, free_energy_si,
 from .models import APPROX_MODELS, MODELS as _REGISTRY, get_model
 from .rational import (FitResult, builtin_params, default_fit_grid, f_approx,
                        max_deviation, phi_u, refit)
-from .validation import (RoundTripMatrixSpec, det_roundtrip_matrix, det_roundtrip_transfer,
-                         f_roundtrip_planewave)
+from .validation import planewave_r1_deviations, ring_determinant_deviations
 
 MODELS = tuple(_REGISTRY)
 QUANTITIES = ("f", "f1", "phi", "ratio_u_over_quarter", "phi_over_quarter", "f_approx")
@@ -261,25 +260,10 @@ def cmd_validate(args) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f"  ({detail})" if detail else ""))
         failures += 0 if ok else 1
 
-    for (y, u) in [(1.5, 0.25), (2.0, 0.1), (5.0, 0.0)]:
-        red = from_invariants(y, u)
-        for model in _REGISTRY.values():
-            closed = model.f1(red)
-            got = f_roundtrip_planewave(model.reflection, red, 1).value
-            rel = abs(got / closed - 1.0)
-            check(f"plane-wave r=1 {model.reflection.kind} (y={y}, u={u})", rel < 1e-5,
-                  f"rel {rel:.1e}")
+    for y, u, kind, rel in planewave_r1_deviations():
+        check(f"plane-wave r=1 {kind} (y={y}, u={u})", rel < 1e-5, f"rel {rel:.1e}")
 
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(100):
-        r = int(rng.integers(1, 4))
-        red = from_invariants(float(rng.uniform(1.2, 6.0)), float(rng.uniform(0.02, 0.25)))
-        spec = RoundTripMatrixSpec(
-            r=r, t=tuple(rng.uniform(0, 1, 2 * r).tolist()), sigma=int(rng.choice((-1, 1))))
-        d1 = det_roundtrip_matrix(spec, red)
-        d2 = det_roundtrip_transfer(spec, red)
-        worst = max(worst, abs(d1 / d2 - 1.0))
+    worst = max(rel for *_, rel in ring_determinant_deviations(args.seed))
     check("determinant dense-LU vs transfer (100 random)", worst < 1e-12, f"worst {worst:.1e}")
 
     for (y, u) in [(2.0, 0.1), (3.0, 0.25)]:

@@ -18,7 +18,7 @@ class QuadratureError(CasimirError, RuntimeError):
 
 
 class FitError(CasimirError, RuntimeError):
-    """Least-squares optimization did not converge."""
+    """A least-squares fit had a target that is not finite and positive, or did not converge."""
 
 
 class AccuracyWarning(UserWarning):

@@ -12,6 +12,11 @@ defaults.  This module evaluates phi_u and phi_rm, refits the parameters
 by least squares on a log grid, measures the maximal deviation over a
 (y, u) grid, and combines phi_rm with the closed-form single round trip
 into the fast approximant for the full free energy.
+
+The refit is a Levenberg-Marquardt on log(nu_k), log(mu_k) with the
+analytic Jacobian: each step solves the damped linear least-squares
+problem by numpy's ``lstsq`` (More, LNM 630, 1978), so fitting imports
+no scipy.
 """
 from __future__ import annotations
 
@@ -21,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DomainError, FitError
 from .geometry import ReducedGeometry, from_invariants
@@ -183,6 +187,61 @@ def default_fit_grid(points: int = 200, lo: float = 1e-2, hi: float = 10.0) -> n
     return 1.0 + np.logspace(math.log10(lo), math.log10(hi), points)
 
 
+# an accepted step that lowers the cost by at most this share of it ends the fit
+_LM_FTOL = 1e-14
+# damping this strong leaves steps below the roundoff of p: the fit is at its floor
+_LM_MAX_DAMPING = 1e16
+_LM_MAX_ITER = 1000
+
+
+def _levenberg_marquardt(w: np.ndarray, phi_ref: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Minimise sum_i r_i^2, r_i = phi_rm(y_i)/phi_ref_i - 1, over p = log(nu, mu).
+
+    ``w`` holds exp(-(y_i - 1)).  With the Jacobian J of r in p, each step
+    solves [J; sqrt(lam) D] delta = [-r; 0] by least squares, D the column
+    norms of J; lam follows the ratio of actual to predicted cost
+    reduction (Nielsen's rule).  A trial whose parameters exponentiate to
+    0 or inf, or whose residuals are not finite, is rejected.
+    """
+    n = p.size // 2
+    sign = np.repeat([1.0, -1.0], n)[:, None]
+
+    def evaluate(p):
+        with np.errstate(all="ignore"):
+            q = np.exp(p)[:, None]
+            factors = 1.0 + (q - 1.0) * w
+            r = np.prod(factors[:n], axis=0) / np.prod(factors[n:], axis=0) / phi_ref - 1.0
+        if not (np.all((q > 0.0) & (q < np.inf)) and np.all(np.isfinite(r))):
+            return None, None
+        # d log(factor_k) / d log(q_k), times 1 + r; the poles enter negated
+        return r, ((1.0 + r) * sign * q * w / factors).T
+
+    r, jac = evaluate(p)
+    if r is None:
+        raise FitError("the starting parameters give non-finite residuals")
+    cost, lam, grow = r @ r, 1e-3, 2.0
+    for _ in range(_LM_MAX_ITER):
+        damping = math.sqrt(lam) * np.diag(np.sqrt(np.sum(jac * jac, axis=0)))
+        step = np.linalg.lstsq(np.vstack([jac, damping]),
+                               np.concatenate([-r, np.zeros(p.size)]), rcond=None)[0]
+        predicted = cost - np.sum((r + jac @ step) ** 2)
+        r_new, jac_new = evaluate(p + step)
+        gain = -math.inf if r_new is None else cost - r_new @ r_new
+        if gain > 0.0:
+            rho = gain / predicted if predicted > 0.0 else 0.0
+            lam, grow = lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+            converged = gain <= _LM_FTOL * cost
+            p, r, jac, cost = p + step, r_new, jac_new, cost - gain
+            if converged:
+                return p
+        else:
+            lam, grow = lam * grow, grow * 2.0
+            if lam >= _LM_MAX_DAMPING:
+                return p
+    raise FitError(f"Levenberg-Marquardt fit did not converge in {_LM_MAX_ITER} steps: "
+                   f"cost {cost:.3e}, damping {lam:.1e}")
+
+
 def refit(
     model: str,
     u_ref: float,
@@ -217,6 +276,12 @@ def refit(
     Returns
     -------
     FitResult
+
+    Raises
+    ------
+    FitError
+        If phi_u is not finite and positive at a grid point (far out,
+        where f1 underflows), or the fit does not converge.
     """
     builtin = builtin_params(model)
     if n < 1:
@@ -227,7 +292,13 @@ def refit(
     if grid.size < 2 or np.any(grid <= 1.0):
         raise DomainError("fit grid must hold at least 2 samples with y > 1")
 
-    phi_ref = np.array([phi_u(from_invariants(g, u_ref), model) for g in grid])
+    with np.errstate(divide="ignore"):  # a phi_u over f1 = 0 is reported just below
+        phi_ref = np.array([phi_u(from_invariants(g, u_ref), model) for g in grid])
+    bad = ~(np.isfinite(phi_ref) & (phi_ref > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FitError(f"phi_u = {phi_ref[i]} at y = {grid[i]} (u = {u_ref}): "
+                       "the fit needs a finite positive target at every grid point")
 
     if builtin.n == n:
         start = np.log(np.array(list(builtin.nu) + list(builtin.mu)))
@@ -239,20 +310,9 @@ def refit(
         rng = np.random.default_rng(seed)
         start = start + rng.uniform(-0.2, 0.2, size=start.size)
 
-    def residuals(p):
-        nu = np.exp(p[:n])
-        mu = np.exp(p[n:])
-        pr = RationalModelParams(nu=tuple(nu), mu=tuple(mu), model_tag=model)
-        return phi_rm(grid, pr) / phi_ref - 1.0
-
-    result = least_squares(residuals, start, method="lm", xtol=1e-14, ftol=1e-14)
-    if not result.success and result.status <= 0:
-        raise FitError(
-            f"least-squares fit failed: status={result.status}, "
-            f"cost={result.cost:.3e}, nfev={result.nfev}"
-        )
-    nu = tuple(float(v) for v in np.exp(result.x[:n]))
-    mu = tuple(float(v) for v in np.exp(result.x[n:]))
+    x = _levenberg_marquardt(np.exp(-(grid - 1.0)), phi_ref, start)
+    nu = tuple(float(v) for v in np.exp(x[:n]))
+    mu = tuple(float(v) for v in np.exp(x[n:]))
     params = RationalModelParams(nu=nu, mu=mu, model_tag=model)
     eps = max_deviation(params, model, [(y, u_ref) for y in grid])
     spec = {

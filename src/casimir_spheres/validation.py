@@ -13,6 +13,9 @@ constant serves every model and order.
 
 Ring determinants: the 2r-dimensional round-trip coupling matrix's
 determinant by dense LU and by a transfer-matrix continuant.
+
+Two drivers run the cross-checks case by case: the ``validate``
+subcommand prints each case, the acceptance suite bounds the worst.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import DomainError, QuadratureError
-from .geometry import ReducedGeometry
+from .geometry import ReducedGeometry, from_invariants
 from .electrolyte import ValueWithError
 
 __all__ = [
@@ -38,6 +41,8 @@ __all__ = [
     "f_roundtrip_planewave",
     "det_roundtrip_matrix",
     "det_roundtrip_transfer",
+    "planewave_r1_deviations",
+    "ring_determinant_deviations",
 ]
 
 _KINDS = ("scalar-Dirichlet", "Drude-vacuum", "dielectric-electrolyte")
@@ -330,3 +335,36 @@ def det_roundtrip_transfer(spec: RoundTripMatrixSpec, red: ReducedGeometry) -> f
         q_prev, q = q, q - sq[i] * q_prev
     prod = math.prod(a[:-1], start=sigma)
     return float(p - sq[n - 1] * q - 2.0 * prod * a[n - 1])
+
+
+# ---------------------------------------------------------------------------
+# cross-check drivers
+
+
+def planewave_r1_deviations():
+    """Yield (y, u, kernel kind, |plane-wave r = 1 / closed form - 1|).
+
+    One case per model at each of (y, u) = (1.5, 0.25), (2, 0.1), (5, 0).
+    """
+    from .models import MODELS  # models imports this module for its kernels
+    for y, u in ((1.5, 0.25), (2.0, 0.1), (5.0, 0.0)):
+        red = from_invariants(y, u)
+        for model in MODELS.values():
+            got = f_roundtrip_planewave(model.reflection, red, 1).value
+            yield y, u, model.reflection.kind, abs(got / model.f1(red) - 1.0)
+
+
+def ring_determinant_deviations(seed: int):
+    """Yield (spec, red, |dense LU / transfer - 1|) for 100 random rings.
+
+    Each ring draws r in {1, 2, 3}, y in [1.2, 6], u in [0.02, 1/4],
+    couplings in [0, 1] and a sign from ``default_rng(seed)``.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        r = int(rng.integers(1, 4))
+        red = from_invariants(float(rng.uniform(1.2, 6.0)), float(rng.uniform(0.02, 0.25)))
+        spec = RoundTripMatrixSpec(r=r, t=tuple(rng.uniform(0.0, 1.0, 2 * r).tolist()),
+                                   sigma=int(rng.choice((-1, 1))))
+        d_lu, d_tm = det_roundtrip_matrix(spec, red), det_roundtrip_transfer(spec, red)
+        yield spec, red, abs(d_lu / d_tm - 1.0)

@@ -20,11 +20,9 @@ from casimir_spheres.geometry import from_invariants
 from casimir_spheres.rational import (DED_PARAMS, DVD_PARAMS, phi_rm, phi_u,
                                       refit)
 from casimir_spheres.scalar import ZETA3, f_sc_roundtrip, f_sc_total
-from casimir_spheres.validation import (DIELECTRIC_ELECTROLYTE, DRUDE_VACUUM,
-                                        SCALAR, RoundTripMatrixSpec,
-                                        det_roundtrip_matrix,
-                                        det_roundtrip_transfer,
-                                        f_roundtrip_planewave)
+from casimir_spheres.validation import (det_roundtrip_matrix,
+                                        planewave_r1_deviations,
+                                        ring_determinant_deviations)
 
 PFA = ZETA3 / 8.0
 
@@ -170,16 +168,7 @@ def test_criterion_3_spot_values():
 
 def test_criterion_4_oracle_equivalence():
     t0 = time.monotonic()
-    worst = 0.0
-    for (y, u) in [(1.5, 0.25), (2.0, 0.1), (5.0, 0.0)]:
-        red = from_invariants(y, u)
-        for model, closed in (
-            (SCALAR, f_sc_roundtrip(red, 1)),
-            (DRUDE_VACUUM, f1_dvd(red)),
-            (DIELECTRIC_ELECTROLYTE, f1_ded(red)),
-        ):
-            got = f_roundtrip_planewave(model, red, 1).value
-            worst = max(worst, abs(got / closed - 1.0))
+    worst = max(rel for *_, rel in planewave_r1_deviations())
     runtime = time.monotonic() - t0
     ok = worst < 1e-5 and runtime < 60.0
     assert report("criterion 4 (oracle r=1)", ok,
@@ -205,23 +194,14 @@ def test_criterion_5_engine_r1():
 
 
 def test_criterion_6_determinant_oracle():
-    rng = np.random.default_rng(2024)
     worst_tm = 0.0
     worst_closed = 0.0
-    for _ in range(100):
-        r = int(rng.integers(1, 4))
-        red = from_invariants(float(rng.uniform(1.2, 6.0)),
-                              float(rng.uniform(0.02, 0.25)))
-        spec = RoundTripMatrixSpec(
-            r=r, t=tuple(rng.uniform(0.0, 1.0, 2 * r).tolist()),
-            sigma=int(rng.choice((-1, 1))))
-        d_lu = det_roundtrip_matrix(spec, red)
-        d_tm = det_roundtrip_transfer(spec, red)
-        worst_tm = max(worst_tm, abs(d_lu / d_tm - 1.0))
-        if r == 1:
+    for spec, red, rel in ring_determinant_deviations(2024):
+        worst_tm = max(worst_tm, rel)
+        if spec.r == 1:
             closed = 1.0 - (math.sqrt(red.alpha1) * spec.t[0]
                             + spec.sigma * math.sqrt(red.alpha2) * spec.t[1]) ** 2 / red.z
-            worst_closed = max(worst_closed, abs(d_lu - closed))
+            worst_closed = max(worst_closed, abs(det_roundtrip_matrix(spec, red) - closed))
     ok = worst_tm < 1e-12 and worst_closed < 1e-13
     assert report("criterion 6 (determinants)", ok,
                   f"LU vs transfer {worst_tm:.1e}; r=1 closed form {worst_closed:.1e}")

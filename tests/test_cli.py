@@ -359,6 +359,15 @@ def test_fit_failure_exits_3(monkeypatch, capsys):
     assert "injected" in capsys.readouterr().err
 
 
+def test_fit_without_finite_targets_exits_3(capsys):
+    # far out phi_u is inf or <= 0: refit names the first such y instead of fitting it
+    assert main(["fit", "--model", "dvd", "--ymin", "1e5", "--ymax", "1e9",
+                 "--points", "20"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: phi_u = ")
+
+
 def test_fit_writes_params_json(tmp_path, capsys):
     out_path = tmp_path / "params.json"
     assert main(["fit", "--model", "dvd", "--uref", "0.1", "--n", "2",

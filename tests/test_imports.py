@@ -1,4 +1,4 @@
-"""What evaluation imports: no scipy module beyond the ones scipy.optimize loads."""
+"""What evaluation imports: no scipy module at all."""
 import json
 import subprocess
 import sys
@@ -26,13 +26,14 @@ def _scipy_modules(code):
 def test_evaluation_loads_no_scipy_stats_or_constants_of_its_own():
     loaded = _scipy_modules(
         "import casimir_spheres, casimir_spheres.cli; "
-        "from casimir_spheres import f_ded_total, f_dvd_total, from_invariants; "
-        "red = from_invariants(1.5, 0.1); f_ded_total(red); f_dvd_total(red)")
+        "from casimir_spheres import f_ded_total, f_dvd_total, from_invariants, refit; "
+        "from casimir_spheres.rational import default_fit_grid; "
+        "red = from_invariants(1.5, 0.1); f_ded_total(red); f_dvd_total(red); "
+        "refit('dvd', 0.1, grid=default_fit_grid(20))")
     # scipy.stats, the costliest scipy import, is read only by the r = 2 plane-wave oracle
     assert not {m for m in loaded if m.split(".")[:2] == ["scipy", "stats"]}
-    # rational.py imports scipy.optimize for refit; what that loads in turn
-    # (scipy.constants through scipy.spatial in scipy 1.17) is all there is
-    assert loaded - _scipy_modules("import scipy.optimize") == set()
+    # refit fits by its own Levenberg-Marquardt, so nothing else loads scipy either
+    assert loaded == set()
 
 
 def test_boltzmann_is_the_exact_si_value():
