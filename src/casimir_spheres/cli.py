@@ -61,28 +61,6 @@ def _geometry_from_args(args) -> ReducedGeometry:
     return reduce(SphereGeometry(L=args.L, R1=args.R1, R2=args.R2))
 
 
-def _total(model, red, args):
-    """``model``'s (total, error) at ``red``; ConvergenceError where not positive (see _f1)."""
-    res = get_model(model).total(red, tol=args.tol)
-    if not res.value > 0.0:
-        raise ConvergenceError(f"f = {res.value:.6g} at y = {red.y:.6g} is not positive")
-    return res.value, res.error
-
-
-def _f1(model, red):
-    """``model``'s f1 at ``red``; ConvergenceError where it is not positive.
-
-    There its closed form has lost every digit (very large y), so no
-    quantity read through it has a value: ``compute`` exits 3 and
-    ``curve`` writes a nan row.  So does a total that is not positive.
-    """
-    f1 = get_model(model).f1(red)
-    if not f1 > 0.0:
-        raise ConvergenceError(f"f1 = {f1:.6g} at y = {red.y:.6g} is not positive, "
-                               "so phi = f/f1 is meaningless")
-    return f1
-
-
 def _check_grid(args):
     for flag in ("ymin", "ymax"):
         if not math.isfinite(getattr(args, flag)):
@@ -116,8 +94,8 @@ def cmd_compute(args) -> int:
     failed = []
     for model in models:
         try:
-            f1 = _f1(model, red)
-            f, err = _total(model, red, args)
+            f1 = get_model(model).f1(red)
+            res = get_model(model).total(red, tol=args.tol)
         except DomainError:
             raise
         except CasimirError as exc:
@@ -125,13 +103,13 @@ def cmd_compute(args) -> int:
             print(f"error: model={model}: {exc}", file=sys.stderr)
             failed.append(model)
             continue
-        line = f"model={model}: f1 = {f1:.12g}  f = {f:.12g}"
-        if err:
-            line += f" +- {err:.2g}"
-        line += f"  phi = {f / f1:.10g}"
+        line = f"model={model}: f1 = {f1:.12g}  f = {res.value:.12g}"
+        if res.error:
+            line += f" +- {res.error:.2g}"
+        line += f"  phi = {res.value / f1:.10g}"
         print(line)
         if args.T is not None:
-            joules, kbt, entropy = free_energy_si(f, args.T)
+            joules, kbt, entropy = free_energy_si(res.value, args.T)
             print(f"  F_T = {joules:.6g} J = {kbt:.10g} k_B T   S = {entropy:.10g} k_B")
     if failed:
         _fail(f"no value for model {', '.join(failed)}", 3)
@@ -142,7 +120,7 @@ def _curve_point(model, quantity, y, u, total, params):
     """One CSV row's (value, error); ``total(model, y, u)`` returns a total's.
 
     Raises ConvergenceError where a quantity read through f1 has no
-    value (see :func:`_f1`); every f1 and total it divides by is positive.
+    value (see :meth:`Model.f1`); every f1 and total it divides by is positive.
     """
     if quantity == "f":
         return total(model, y, u)
@@ -151,7 +129,7 @@ def _curve_point(model, quantity, y, u, total, params):
         val = f / fq
         return val, val * (err / f + errq / fq)
     red = from_invariants(y, u)
-    f1_red = _f1(model, red)
+    f1_red = get_model(model).f1(red)
     if quantity == "f1":
         return f1_red, 0.0
     if quantity == "f_approx":
@@ -159,7 +137,7 @@ def _curve_point(model, quantity, y, u, total, params):
     f, err = total(model, y, u)
     if quantity == "phi":
         return f / f1_red, err / f1_red
-    (fq, errq), f1_q = total(model, y, 0.25), _f1(model, from_invariants(y, 0.25))
+    (fq, errq), f1_q = total(model, y, 0.25), get_model(model).f1(from_invariants(y, 0.25))
     p = (f / f1_red) / (fq / f1_q)
     return p, p * (err / f + errq / fq)
 
@@ -190,9 +168,10 @@ def cmd_curve(args) -> int:
         # each (model, y, u) total, a failed one too, is evaluated once,
         # when a row first reads it; the ratio quantities share u = 1/4
         try:
-            return _total(model, from_invariants(y, u), args)
+            res = get_model(model).total(from_invariants(y, u), tol=args.tol)
         except ConvergenceError:
             return math.nan, math.nan
+        return res.value, res.error
 
     def point(model, y, u):
         try:

@@ -39,8 +39,10 @@ class CapacitanceMatrix:
     finite; there c12 degenerates to 0.
 
     Note: the determinant exceeds 1 at any finite separation and tends to
-    1 from above at large distance, so ``det_minus_one`` is positive and
-    is the numerically safe quantity at large y.
+    1 from above at large distance, as 1/(2y).  ``det_minus_one`` avoids
+    the cancellation in det - 1, but its own terms still cancel at large
+    y: it is rounding noise from y of about 1e15 (7.6e-16 at u = 0.1) and
+    can be negative (-5e-21 at y = 1e20).
     """
 
     c11: float

@@ -18,7 +18,7 @@ class QuadratureError(CasimirError, RuntimeError):
 
 
 class FitError(CasimirError, RuntimeError):
-    """A least-squares fit had a target that is not finite and positive, or did not converge."""
+    """A least-squares fit had a grid point without a target, or did not converge."""
 
 
 class AccuracyWarning(UserWarning):

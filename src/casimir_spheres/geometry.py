@@ -195,9 +195,11 @@ def from_invariants(y: float, u: float) -> ReducedGeometry:
         raise DomainError(f"invariant y must satisfy y > 1, got {y}")
     if not 0.0 <= u <= 0.25:
         raise DomainError(f"radius-ratio parameter u must lie in [0, 1/4], got {u}")
+    # as floats: a numpy y or u makes z a numpy scalar, whose overflow warns where a float's raises
+    y, u = float(y), float(u)
     if u == 0.0:
         return ReducedGeometry(
-            y=float(y), u=0.0, z=math.inf, varpi=_arcosh(y),
+            y=y, u=0.0, z=math.inf, varpi=_arcosh(y),
             r_eff=1.0, alpha1=math.inf, alpha2=0.0,
         )
     # rationalized form: the "-" root as 2u/(1 - 2u + sqrt(1 - 4u)) stays
@@ -209,7 +211,7 @@ def from_invariants(y: float, u: float) -> ReducedGeometry:
                           "radius ratio; u = 0 is the plane")
     alpha2 = 1.0 / alpha1
     return ReducedGeometry(
-        y=float(y), u=float(u), z=2.0 * (y - 1.0) + 1.0 / u, varpi=_arcosh(y),
+        y=y, u=u, z=2.0 * (y - 1.0) + 1.0 / u, varpi=_arcosh(y),
         r_eff=1.0, alpha1=alpha1, alpha2=alpha2,
     )
 

@@ -5,7 +5,8 @@ energy ``f``, the closed-form single round trip ``f1`` and the
 plane-wave reflection kernel the validation oracle integrates.  The
 two electromagnetic models also carry the built-in parameters of the
 rational approximant.  Code that works for any model looks the model
-up here by name instead of branching on it.
+up here by name instead of branching on it.  A total or ``f1`` read
+through it is positive or raises :class:`ConvergenceError`.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Callable
 
 from .drude import f1_dvd, f_dvd_total
 from .electrolyte import ValueWithError, f1_ded, f_ded_total
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .scalar import f_sc_roundtrip, f_sc_total
 from .validation import (DIELECTRIC_ELECTROLYTE, DRUDE_VACUUM, SCALAR,
                          ReflectionModel)
@@ -27,17 +28,35 @@ __all__ = ["Model", "MODELS", "APPROX_MODELS", "get_model"]
 class Model:
     """One model's entry points.
 
-    ``total(red, tol) -> ValueWithError`` keeps the default ``tol`` of
-    the underlying function, ``f1(red)`` is the single round trip and
-    ``reflection`` the oracle's kernel.  ``approx`` holds the built-in
+    ``raw_total(red, tol) -> ValueWithError`` and ``raw_f1(red)`` are the
+    library functions; :meth:`total` and :meth:`f1` return their values
+    where they are positive and raise :class:`ConvergenceError` elsewhere:
+    there the terms have cancelled (very large y) and left no digit, so
+    no quantity read through them, phi = f/f1 above all, has a value.
+    ``reflection`` is the oracle's kernel.  ``approx`` holds the built-in
     ``(nu, mu)`` of the rational approximant, or ``None`` when the model
     has none.
     """
 
-    total: Callable[..., ValueWithError]
-    f1: Callable[..., float]
+    raw_total: Callable[..., ValueWithError]
+    raw_f1: Callable[..., float]
     reflection: ReflectionModel
     approx: tuple | None = None
+
+    def total(self, red, **kwargs) -> ValueWithError:
+        """``raw_total(red, **kwargs)``, checked; ``tol`` keeps its default."""
+        res = self.raw_total(red, **kwargs)
+        if not res.value > 0.0:
+            raise ConvergenceError(f"f = {res.value:.6g} at y = {red.y:.6g} is not positive")
+        return res
+
+    def f1(self, red) -> float:
+        """``raw_f1(red)``, checked."""
+        f1 = self.raw_f1(red)
+        if not f1 > 0.0:
+            raise ConvergenceError(f"f1 = {f1:.6g} at y = {red.y:.6g} is not positive, "
+                                   "so phi = f/f1 is meaningless")
+        return f1
 
 
 def _series_total(fn):

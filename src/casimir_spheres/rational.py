@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, FitError
+from .errors import ConvergenceError, DomainError, FitError
 from .geometry import ReducedGeometry, from_invariants
 from .models import APPROX_MODELS, MODELS, get_model
 
@@ -174,9 +174,11 @@ _PHI_CACHE_SIZE = 8192
 def phi_u(red: ReducedGeometry, model: str) -> float:
     """Ratio of the full reduced free energy to its single round trip.
 
-    Lies in (1, zeta(3)] and decreases with y for the two
-    electromagnetic models; the scalar ratio shares the endpoints but is
-    not monotonic.  Results are memoised per (red, model).
+    Where f and f1 have digits it decreases from zeta(3) towards 1 with
+    y for the two electromagnetic models; the scalar ratio shares the
+    endpoints but is not monotonic.  Raises :class:`ConvergenceError`
+    where f or f1 is not positive (see :class:`models.Model`).  Results
+    are memoised per (red, model).
     """
     m = get_model(model)
     return m.total(red).value / m.f1(red)
@@ -280,8 +282,8 @@ def refit(
     Raises
     ------
     FitError
-        If phi_u is not finite and positive at a grid point (far out,
-        where f1 underflows), or the fit does not converge.
+        If phi_u has no value at a grid point (far out, where f or f1
+        is not positive), or the fit does not converge.
     """
     builtin = builtin_params(model)
     if n < 1:
@@ -292,13 +294,12 @@ def refit(
     if grid.size < 2 or np.any(grid <= 1.0):
         raise DomainError("fit grid must hold at least 2 samples with y > 1")
 
-    with np.errstate(divide="ignore"):  # a phi_u over f1 = 0 is reported just below
-        phi_ref = np.array([phi_u(from_invariants(g, u_ref), model) for g in grid])
-    bad = ~(np.isfinite(phi_ref) & (phi_ref > 0.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise FitError(f"phi_u = {phi_ref[i]} at y = {grid[i]} (u = {u_ref}): "
-                       "the fit needs a finite positive target at every grid point")
+    phi_ref = np.empty(grid.size)
+    for i, g in enumerate(grid):
+        try:
+            phi_ref[i] = phi_u(from_invariants(g, u_ref), model)
+        except ConvergenceError as exc:
+            raise FitError(f"no fit target at y = {g} (u = {u_ref}): {exc}") from exc
 
     if builtin.n == n:
         start = np.log(np.array(list(builtin.nu) + list(builtin.mu)))
@@ -327,6 +328,8 @@ def refit(
 def max_deviation(params: RationalModelParams, model: str, grid) -> float:
     """Maximal |phi_u(y)/phi_rm(y) - 1| over a set of (y, u) samples.
 
+    Raises :class:`ConvergenceError` where phi_u has no value.
+
     Parameters
     ----------
     params : RationalModelParams
@@ -352,7 +355,8 @@ def f_approx(red: ReducedGeometry, model: str,
     """Fast approximant: closed-form single round trip times phi_rm.
 
     Accurate to the parameters' epsilon relative to the full sum.
-    Raises :class:`DomainError` for a model without an approximant.
+    Raises :class:`DomainError` for a model without an approximant and
+    :class:`ConvergenceError` where f1 is not positive.
     """
     builtin = builtin_params(model)
     return get_model(model).f1(red) * phi_rm(red.y, builtin if params is None else params)

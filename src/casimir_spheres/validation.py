@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -45,32 +46,8 @@ __all__ = [
     "ring_determinant_deviations",
 ]
 
-_KINDS = ("scalar-Dirichlet", "Drude-vacuum", "dielectric-electrolyte")
 # highest multipole order kept by reflection_tm_series
 _MULTIPOLE_CUTOFF = 40
-
-
-@dataclass(frozen=True)
-class ReflectionModel:
-    """Which reflection kernel to use.
-
-    Parameters
-    ----------
-    kind : str
-        One of ``scalar-Dirichlet``, ``Drude-vacuum``,
-        ``dielectric-electrolyte``.
-    """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown reflection model {self.kind!r}; choose from {_KINDS}")
-
-
-SCALAR = ReflectionModel("scalar-Dirichlet")
-DRUDE_VACUUM = ReflectionModel("Drude-vacuum")
-DIELECTRIC_ELECTROLYTE = ReflectionModel("dielectric-electrolyte")
 
 
 def _ded_bracket(chi: np.ndarray) -> np.ndarray:
@@ -90,39 +67,53 @@ def _ded_bracket(chi: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class ReflectionModel:
+    """One model's zero-frequency TM reflection kernel, held as data.
+
+    ``kind`` labels it in ``validate``'s output, ``kernel(chi)`` is its
+    closed form and ``amplitude(ell)``, ell >= 0, its multipole amplitude
+    A_ell: the kernel is sum_ell A_ell chi^(2 ell) / (2 ell)!.  A plane
+    reflects with ``plane_sign``, the sign of the kernel.
+    """
+
+    kind: str
+    kernel: Callable[[np.ndarray], np.ndarray]
+    amplitude: Callable[[int], float]
+    plane_sign: float = 1.0
+
+
+SCALAR = ReflectionModel("scalar-Dirichlet", np.cosh, lambda ell: 1.0)
+DRUDE_VACUUM = ReflectionModel("Drude-vacuum", lambda chi: np.cosh(chi) - 1.0,
+                               lambda ell: 1.0 if ell else 0.0)
+# the kernel of this model is negative
+DIELECTRIC_ELECTROLYTE = ReflectionModel("dielectric-electrolyte", lambda chi: -_ded_bracket(chi),
+                                         lambda ell: -ell / (ell + 1.0), plane_sign=-1.0)
+
+
 def reflection_tm(model: ReflectionModel, chi) -> np.ndarray | float:
     """Closed-form TM reflection kernel at the zero-frequency limit.
 
-    Returns cosh(chi) for the scalar model, cosh(chi) - 1 for a Drude
-    sphere in vacuum, and minus the dielectric-in-electrolyte bracket
-    (the kernel of that model is negative).
+    cosh(chi) for the scalar model, cosh(chi) - 1 for a Drude sphere in
+    vacuum, and minus the dielectric-in-electrolyte bracket.
     """
-    chi_arr = np.asarray(chi, dtype=float)
-    if model.kind == "scalar-Dirichlet":
-        out = np.cosh(chi_arr)
-    elif model.kind == "Drude-vacuum":
-        out = np.cosh(chi_arr) - 1.0
-    else:
-        out = -_ded_bracket(chi_arr)
+    out = model.kernel(np.asarray(chi, dtype=float))
     return float(out) if np.ndim(chi) == 0 else out
 
 
 def reflection_tm_series(model: ReflectionModel, chi) -> np.ndarray | float:
     """Truncated multipole series of the same kernel, for cross-checks.
 
-    Sums A_ell chi^(2 ell) / (2 ell)! up to ell = 40 (``_MULTIPOLE_CUTOFF``)
-    with A_ell = 1 (Drude-vacuum, and scalar which also keeps the
-    ell = 0 term) or A_ell = -ell/(ell+1) (dielectric-electrolyte).
+    Sums A_ell chi^(2 ell) / (2 ell)! for ell = 0 to 40
+    (``_MULTIPOLE_CUTOFF``), A_ell the model's ``amplitude``.
     """
     chi_arr = np.asarray(chi, dtype=float)
-    acc = np.ones_like(chi_arr) if model.kind == "scalar-Dirichlet" else np.zeros_like(chi_arr)
+    acc = np.zeros_like(chi_arr)
     p = np.ones_like(chi_arr)
-    for ell in range(1, _MULTIPOLE_CUTOFF + 1):
-        p = p * chi_arr * chi_arr / ((2 * ell - 1) * (2 * ell))
-        if model.kind == "dielectric-electrolyte":
-            acc = acc - ell / (ell + 1.0) * p
-        else:
-            acc = acc + p
+    for ell in range(_MULTIPOLE_CUTOFF + 1):
+        if ell:
+            p = p * chi_arr * chi_arr / ((2 * ell - 1) * (2 * ell))
+        acc = acc + model.amplitude(ell) * p
     return float(acc) if np.ndim(chi) == 0 else acc
 
 
@@ -220,10 +211,8 @@ def f_roundtrip_planewave(
         return ValueWithError(*_planewave_sphere_sphere_r2(model, c1, c2, red.z,
                                                            qmc_points, seed))
     if red.is_plane and r == 1:
-        # the plane reflects with the sign of the sphere kernel, which is
-        # negative for the electrolyte model
-        rp = -1.0 if model.kind == "dielectric-electrolyte" else 1.0
-        pref, rule = 0.5 * rp / (2.0 * red.y) / math.pi, partial(_plane_r1_rule, model, red.y)
+        pref = 0.5 * model.plane_sign / (2.0 * red.y) / math.pi
+        rule = partial(_plane_r1_rule, model, red.y)
     else:
         # (1/2)(R1 R2 / pi^2 dist^2); with a plane both reflections are at
         # the sphere, chi = w/y, and the plane's sign squares to 1

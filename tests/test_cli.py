@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import threading
@@ -6,7 +7,9 @@ import pytest
 
 from casimir_spheres import cli
 from casimir_spheres.cli import main
+from casimir_spheres.electrolyte import ValueWithError
 from casimir_spheres.errors import FitError
+from casimir_spheres.models import MODELS
 
 
 def run(capsys, *argv):
@@ -204,11 +207,14 @@ def test_curve_row_count_two_point_grid(tmp_path, capsys):
 def test_curve_evaluates_each_total_once_on_calling_thread(monkeypatch, capsys):
     calls = []
 
-    def total(model, red, args):
-        calls.append((threading.current_thread(), (model, red.y, red.u)))
-        return 1.0, 0.0
+    def counted(name):
+        def total(red, tol):
+            calls.append((threading.current_thread(), (name, red.y, red.u)))
+            return ValueWithError(1.0, 0.0)
+        return total
 
-    monkeypatch.setattr(cli, "_total", total)
+    for name, model in MODELS.items():
+        monkeypatch.setitem(MODELS, name, dataclasses.replace(model, raw_total=counted(name)))
     assert main(["curve", "--model", "all", "--quantity", "ratio_u_over_quarter",
                  "--u", "0,0.1", "--ymin", "1", "--ymax", "4", "--points", "3",
                  "--out", "-"]) == 0
@@ -360,12 +366,12 @@ def test_fit_failure_exits_3(monkeypatch, capsys):
 
 
 def test_fit_without_finite_targets_exits_3(capsys):
-    # far out phi_u is inf or <= 0: refit names the first such y instead of fitting it
+    # far out f or f1 is not positive: refit names the first such y instead of fitting it
     assert main(["fit", "--model", "dvd", "--ymin", "1e5", "--ymax", "1e9",
                  "--points", "20"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("numerical failure: phi_u = ")
+    assert err.startswith("numerical failure: no fit target at y = "), err
 
 
 def test_fit_writes_params_json(tmp_path, capsys):

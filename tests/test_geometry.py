@@ -1,10 +1,13 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_spheres.errors import DomainError
+from casimir_spheres.electrolyte import f1_ded
+from casimir_spheres.errors import ConvergenceError, DomainError
 from casimir_spheres.geometry import (PLANE, ReducedGeometry, SphereGeometry,
                                       free_energy_si, from_invariants, reduce,
                                       to_sphere_geometry)
@@ -131,6 +134,17 @@ def test_from_invariants_rejects_subnormal_u():
     for u in (1e-310, 5e-324):
         with pytest.raises(DomainError, match="u = 0 is the plane"):
             from_invariants(2.0, u)
+
+
+def test_from_invariants_holds_floats_for_numpy_input():
+    # a numpy y used to make z a numpy scalar, and f1_ded warned on its
+    # overflow (three RuntimeWarnings) before raising ConvergenceError
+    red = from_invariants(np.float64(2.0), np.float64(1e-300))
+    assert all(type(v) is float for v in (red.y, red.u, red.z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            f1_ded(from_invariants(np.float64(2.0), 1e-300))
 
 
 def test_roundtrip_plane():

@@ -2,7 +2,8 @@
 
 y - 1 runs log-uniformly over [1e-8, 1.7e308] and u over {0} and
 [1e-300, 1/4]; radii and gaps over [1e-300, 1e300].  Whether the returned
-values are right is not checked here.
+values are right is not checked here; that the model registry's and
+phi_u's are finite and positive is.
 """
 import math
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from casimir_spheres import (CasimirError, SphereGeometry, capacitance_coeffs,
                              f1_ded, f1_dvd, f_approx, f_ded_dipole,
                              f_dvd_dipole, f_dvd_total, f_sc_total,
-                             from_invariants, reduce)
+                             from_invariants, phi_u, reduce)
+from casimir_spheres.models import MODELS
 
 
 def _log_uniform(lo, hi):
@@ -55,3 +57,28 @@ def test_invariant_entry_points_raise_only_typed_errors(dy, u):
 @settings(max_examples=300, deadline=None)
 def test_reduce_raises_only_typed_errors(L, R1, R2):
     _returns_or_raises_typed(lambda: reduce(SphereGeometry(L=L, R1=R1, R2=R2)))
+
+
+def _positive_or_typed(fn, *args):
+    try:
+        value = fn(*args)
+    except CasimirError:
+        return
+    value = getattr(value, "value", value)
+    assert math.isfinite(value) and value > 0.0, (args, value)
+
+
+@given(dy=dys, u=us)
+@example(dy=1e12, u=0.1)  # phi_u divided by f1_dvd = 0
+@settings(max_examples=300, deadline=None)
+def test_registry_and_phi_u_return_positive_values_or_typed_errors(dy, u):
+    try:
+        red = from_invariants(1.0 + dy, u)
+    except CasimirError:
+        return
+    for name, model in MODELS.items():
+        _positive_or_typed(model.f1, red)
+        if name == "ded" and dy < 1e-2:
+            continue  # cost only: the ded total takes 0.8 s at y - 1 = 1e-4 and 100 s at 1e-6
+        _positive_or_typed(model.total, red)
+        _positive_or_typed(phi_u, red, name)

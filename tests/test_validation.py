@@ -11,9 +11,8 @@ from casimir_spheres.errors import DomainError
 from casimir_spheres.geometry import from_invariants
 from casimir_spheres.scalar import f_sc_roundtrip
 from casimir_spheres.validation import (DIELECTRIC_ELECTROLYTE, DRUDE_VACUUM,
-                                        SCALAR, ReflectionModel,
-                                        f_roundtrip_planewave, reflection_tm,
-                                        reflection_tm_series)
+                                        SCALAR, f_roundtrip_planewave,
+                                        reflection_tm, reflection_tm_series)
 
 
 def test_kernels_at_zero():
@@ -42,11 +41,6 @@ def test_kernel_parity():
     for model in (SCALAR, DRUDE_VACUUM, DIELECTRIC_ELECTROLYTE):
         vals = reflection_tm(model, chi)
         assert np.allclose(vals, vals[::-1], rtol=1e-14)
-
-
-def test_model_validation():
-    with pytest.raises(DomainError):
-        ReflectionModel("metallic")
 
 
 def test_planewave_r1_reproduces_closed_forms():
