@@ -23,8 +23,6 @@ from .rational import (DED_PARAMS, DVD_PARAMS, FitResult,
                        RationalModelParams, builtin_params, f_approx,
                        max_deviation, phi_rm, phi_u, refit)
 from . import validation
-from .validation import (RoundTripMatrixSpec, det_roundtrip_matrix,
-                         det_roundtrip_transfer)
 
 __all__ = [
     "__version__",
@@ -35,9 +33,8 @@ __all__ = [
     "ZETA3", "f_pfa", "f_sc_roundtrip", "f_sc_total",
     "CapacitanceMatrix", "capacitance_coeffs", "f1_dvd", "f_dvd_dipole",
     "f_dvd_total", "mutual_capacitance_maxwell",
-    "QuadratureSettings", "RoundTripMatrixSpec", "ValueWithError",
-    "det_roundtrip_matrix", "det_roundtrip_transfer", "f1_ded",
-    "f_ded_dipole", "f_ded_roundtrip", "f_ded_total",
+    "QuadratureSettings", "ValueWithError", "f1_ded", "f_ded_dipole",
+    "f_ded_roundtrip", "f_ded_total",
     "DED_PARAMS", "DVD_PARAMS", "FitResult", "RationalModelParams",
     "builtin_params", "f_approx", "max_deviation", "phi_rm", "phi_u",
     "refit", "validation",

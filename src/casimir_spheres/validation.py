@@ -11,8 +11,9 @@ and the quadrature.  Normalization is fixed by requiring the scalar
 kernel at r = 1 to reproduce the closed form y / (4(y^2-1)); the same
 constant serves every model and order.
 
-Ring determinants: the 2r-dimensional round-trip coupling matrix's
-determinant by dense LU and by a transfer-matrix continuant.
+The banded ded determinant: the Schur recursion of
+``electrolyte._checkpoints`` against dense linear algebra on the same
+truncated, closed matrices.
 
 Two drivers run the cross-checks case by case: the ``validate``
 subcommand prints each case, the acceptance suite bounds the worst.
@@ -29,21 +30,18 @@ from numpy.polynomial.hermite import hermgauss
 
 from .errors import DomainError, QuadratureError
 from .geometry import ReducedGeometry, from_invariants
-from .electrolyte import ValueWithError
+from .electrolyte import ValueWithError, _checkpoints, _closure, _sphere_mus
 
 __all__ = [
     "ReflectionModel",
-    "RoundTripMatrixSpec",
     "SCALAR",
     "DRUDE_VACUUM",
     "DIELECTRIC_ELECTROLYTE",
     "reflection_tm",
     "reflection_tm_series",
     "f_roundtrip_planewave",
-    "det_roundtrip_matrix",
-    "det_roundtrip_transfer",
+    "banded_determinant_deviations",
     "planewave_r1_deviations",
-    "ring_determinant_deviations",
 ]
 
 # highest multipole order kept by reflection_tm_series
@@ -224,106 +222,33 @@ def f_roundtrip_planewave(
 
 
 # ---------------------------------------------------------------------------
-# ring determinants
+# the banded ded determinant, densely
 
 
-@dataclass(frozen=True)
-class RoundTripMatrixSpec:
-    """Order, coupling strengths and boundary sign of a round-trip matrix.
+def _dense_log_det(red: ReducedGeometry, n_rows: int) -> float:
+    """sum_m (2 - delta_m0) log det(1 - R1 E R2 E) over rows n < ``n_rows``, densely.
 
-    Parameters
-    ----------
-    r : int
-        Round-trip order, >= 1; the matrix is 2r-dimensional.
-    t : tuple of float
-        2r coupling strengths, each in [0, 1].
-    sigma : int
-        Boundary sign, +1 or -1.
+    Builds each m's tridiagonal J_i, closes its last diagonal as
+    ``_checkpoints`` does, and forms R_i = solve(A_i, B_i): the same
+    matrices as the recursion, none of its arithmetic.
     """
-
-    r: int
-    t: tuple
-    sigma: int
-
-    def __post_init__(self):
-        if self.r < 1 or int(self.r) != self.r:
-            raise DomainError(f"round-trip order must be a positive integer, got {self.r}")
-        if len(self.t) != 2 * self.r:
-            raise DomainError(f"expected {2*self.r} couplings, got {len(self.t)}")
-        if any(not 0.0 <= ti <= 1.0 for ti in self.t):
-            raise DomainError("all couplings t_i must lie in [0, 1]")
-        if self.sigma not in (+1, -1):
-            raise DomainError(f"sigma must be +1 or -1, got {self.sigma}")
-
-
-def _link_coefficients(red: ReducedGeometry, r: int) -> np.ndarray:
-    """Off-diagonal coefficients of the 2r-dimensional coupling matrix.
-
-    Link i carries t_i times R1/distance (even i, 0-based) or
-    R2/distance (odd i); the last link closes the ring with sign sigma.
-    """
-    if red.is_plane:
-        # the plane's coupling tends to 1, the finite sphere's to 0
-        if math.isinf(red.alpha1):
-            ca, cb = 1.0, 0.0
-        else:
-            ca, cb = 0.0, 1.0
-    else:
-        ca = math.sqrt(red.alpha1 / red.z)
-        cb = math.sqrt(red.alpha2 / red.z)
-    out = np.empty(2 * r)
-    out[0::2] = ca
-    out[1::2] = cb
-    return out
-
-
-def det_roundtrip_matrix(spec: RoundTripMatrixSpec, red: ReducedGeometry) -> float:
-    """Dense-LU determinant of the 2r-dimensional round-trip matrix.
-
-    Strictly positive for any exterior geometry (the matrix is
-    diagonally dominant since (R1+R2) is smaller than the center
-    distance).
-    """
-    coefs = _link_coefficients(red, spec.r)
-    a = coefs * np.asarray(spec.t, dtype=float)
-    n = 2 * spec.r
-    m = np.eye(n)
-    if n == 2:
-        v = a[0] + spec.sigma * a[1]
-        m[0, 1] = m[1, 0] = v
-    else:
-        for i in range(n - 1):
-            m[i, i + 1] = m[i + 1, i] = a[i]
-        m[0, n - 1] = m[n - 1, 0] = spec.sigma * a[n - 1]
-    return float(np.linalg.det(m))
-
-
-def det_roundtrip_transfer(spec: RoundTripMatrixSpec, red: ReducedGeometry) -> float:
-    """Transfer-matrix (continuant) evaluation of the same determinant.
-
-    Link i couples sites i and i+1; the last link closes the ring with
-    sign sigma.  Two links share one matrix entry (determinant
-    1 - (a1 + sigma a2)^2).  For n = 2r >= 4 links the determinant is the
-    open-chain continuant, less the ring-closure continuant, less twice
-    sigma times the product of the links (n is even).
-    """
-    coefs = _link_coefficients(red, spec.r)
-    a = list(coefs * np.asarray(spec.t, dtype=float))
-    n, sigma = len(a), spec.sigma
-    if n == 2:
-        s = a[0] + sigma * a[1]
-        return float(1.0 - s * s)
-    sq = [c ** 2 for c in a]
-    # open-chain continuant P_n over links 0..n-2
-    p_prev = p = 1.0
-    for i in range(n - 1):
-        p_prev, p = p, p - sq[i] * p_prev
-    # interior continuant over links 1..n-3 (sites 2..n-1)
-    q_prev = q = 1.0
-    for i in range(1, n - 2):
-        q_prev, q = q, q - sq[i] * q_prev
-    prod = math.prod(a[:-1], start=sigma)
-    return float(p - sq[n - 1] * q - 2.0 * prod * a[n - 1])
+    mus = _sphere_mus(red)
+    closures = [_closure(mu, n_rows - 1) for mu in mus]
+    total = 0.0
+    for m in range(n_rows):
+        n = np.arange(m, n_rows, dtype=float)
+        e = np.exp(-(n + 0.5) * red.varpi)
+        rs = []
+        for mu, x in zip(mus, closures):
+            j = (np.diag((n + 0.5) * math.cosh(mu)) - np.diag((n[1:] - m) / 2.0, -1)
+                 - np.diag((n[:-1] + m + 1.0) / 2.0, 1))
+            j[-1, -1] -= 0.5 * (n_rows + m) * x[m]
+            s = 0.5 * math.sinh(mu) * np.eye(n.size)
+            rs.append(np.linalg.solve(j + s, j - s))
+        sign, log_det = np.linalg.slogdet(np.eye(n.size) - (rs[0] * e) @ (rs[1] * e))
+        # M's eigenvalues lie in [0, 1): a det(1 - M) <= 0 fails the check
+        total += (1.0 if m == 0 else 2.0) * (log_det if sign > 0 else math.nan)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +268,14 @@ def planewave_r1_deviations():
             yield y, u, model.reflection.kind, abs(got / model.f1(red) - 1.0)
 
 
-def ring_determinant_deviations(seed: int):
-    """Yield (spec, red, |dense LU / transfer - 1|) for 100 random rings.
+def banded_determinant_deviations():
+    """Yield (y - 1, u, |dense / banded - 1|) of the ded log det(1 - M), summed over m.
 
-    Each ring draws r in {1, 2, 3}, y in [1.2, 6], u in [0.02, 1/4],
-    couplings in [0, 1] and a sign from ``default_rng(seed)``.
+    The banded side is the first truncation of ``_checkpoints``, the
+    dense side :func:`_dense_log_det` at its rows, at (y - 1, u) =
+    (0.05, 0), (0.1, 0.04), (0.5, 1/4), (1, 0.1) and (3, 0.016).
     """
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        r = int(rng.integers(1, 4))
-        red = from_invariants(float(rng.uniform(1.2, 6.0)), float(rng.uniform(0.02, 0.25)))
-        spec = RoundTripMatrixSpec(r=r, t=tuple(rng.uniform(0.0, 1.0, 2 * r).tolist()),
-                                   sigma=int(rng.choice((-1, 1))))
-        d_lu, d_tm = det_roundtrip_matrix(spec, red), det_roundtrip_transfer(spec, red)
-        yield spec, red, abs(d_lu / d_tm - 1.0)
+    for ym1, u in ((0.05, 0.0), (0.1, 0.04), (0.5, 0.25), (1.0, 0.1), (3.0, 0.016)):
+        red = from_invariants(1.0 + ym1, u)
+        n_rows, log_det, _ = next(_checkpoints(red, [1.0]))
+        yield ym1, u, float(abs(_dense_log_det(red, n_rows) / log_det[0].real - 1.0))

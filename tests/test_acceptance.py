@@ -20,9 +20,8 @@ from casimir_spheres.geometry import from_invariants
 from casimir_spheres.rational import (DED_PARAMS, DVD_PARAMS, phi_rm, phi_u,
                                       refit)
 from casimir_spheres.scalar import ZETA3, f_sc_roundtrip, f_sc_total
-from casimir_spheres.validation import (det_roundtrip_matrix,
-                                        planewave_r1_deviations,
-                                        ring_determinant_deviations)
+from casimir_spheres.validation import (banded_determinant_deviations,
+                                        planewave_r1_deviations)
 
 PFA = ZETA3 / 8.0
 
@@ -190,21 +189,13 @@ def test_criterion_5_engine_r1():
 
 
 # ---------------------------------------------------------------------------
-# criterion 6: determinant routes agree
+# criterion 6: the banded ded determinant agrees with dense linear algebra
 
 
 def test_criterion_6_determinant_oracle():
-    worst_tm = 0.0
-    worst_closed = 0.0
-    for spec, red, rel in ring_determinant_deviations(2024):
-        worst_tm = max(worst_tm, rel)
-        if spec.r == 1:
-            closed = 1.0 - (math.sqrt(red.alpha1) * spec.t[0]
-                            + spec.sigma * math.sqrt(red.alpha2) * spec.t[1]) ** 2 / red.z
-            worst_closed = max(worst_closed, abs(det_roundtrip_matrix(spec, red) - closed))
-    ok = worst_tm < 1e-12 and worst_closed < 1e-13
-    assert report("criterion 6 (determinants)", ok,
-                  f"LU vs transfer {worst_tm:.1e}; r=1 closed form {worst_closed:.1e}")
+    worst = max(rel for *_, rel in banded_determinant_deviations())
+    ok = worst < 1e-12
+    assert report("criterion 6 (determinants)", ok, f"banded vs dense worst rel {worst:.1e}")
 
 
 # ---------------------------------------------------------------------------

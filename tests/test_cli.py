@@ -10,6 +10,7 @@ from casimir_spheres.cli import main
 from casimir_spheres.electrolyte import ValueWithError
 from casimir_spheres.errors import FitError
 from casimir_spheres.models import MODELS
+from casimir_spheres.scalar import ZETA3
 
 
 def run(capsys, *argv):
@@ -284,7 +285,8 @@ def test_config_file_flag_precedence(tmp_path, capsys):
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     # unknown keys, and values that the key's flag does not accept;
-    # fit and validate sum no totals, so they have no tol or rmax
+    # fit and validate sum no totals, so they have no tol or rmax;
+    # validate draws nothing at random, so it has no seed
     for argv, doc, word in [(["curve", "--model", "scalar"], {"bogus": 1}, "bogus"),
                             (["curve", "--model", "scalar"], {"linear": True}, "linear"),
                             (["curve", "--model", "scalar"], {"points": 3.5}, "--points"),
@@ -292,7 +294,8 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
                             (["compute", "--model", "scalar"], {"tol": "x"}, "--tol"),
                             (["compute", "--model", "scalar"], {"plane": 1}, "plane"),
                             (["fit", "--model", "dvd"], {"tol": 1e-6}, "tol"),
-                            (["validate"], {"rmax": 3}, "rmax")]:
+                            (["validate"], {"rmax": 3}, "rmax"),
+                            (["validate"], {"seed": 1}, "seed")]:
         cfg.write_text(json.dumps(doc))
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--config", str(cfg)])
@@ -301,12 +304,23 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["fit", "--model", "dvd", "--tol", "1e-6"],
-                                  ["validate", "--rmax", "3"]])
+                                  ["validate", "--rmax", "3"],
+                                  ["validate", "--seed", "1"]])
 def test_fit_and_validate_have_no_total_flags(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_validate_bounds_phi_by_zeta3(monkeypatch, capsys):
+    # the plane-wave lines take seconds and are not the subject here
+    monkeypatch.setattr(cli, "planewave_r1_deviations", lambda: iter(()))
+    monkeypatch.setattr(cli, "phi_u", lambda red, model: ZETA3 + 0.005)
+    assert main(["validate"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("banded vs dense") == 5
+    assert out.count("[FAIL] phi_ded") == 2
 
 
 def test_config_checks_choices_before_output(tmp_path, capsys):

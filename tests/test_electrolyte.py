@@ -3,28 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from casimir_spheres.electrolyte import (QuadratureSettings, f1_ded, f_ded_dipole,
                                          f_ded_roundtrip, f_ded_total)
 from casimir_spheres.errors import ConvergenceError, DomainError
 from casimir_spheres.geometry import from_invariants
-from casimir_spheres.scalar import f_sc_roundtrip
-from casimir_spheres.validation import (RoundTripMatrixSpec, det_roundtrip_matrix,
-                                        det_roundtrip_transfer)
 from test_ded_exact import multipole_orders, neumann
-
-
-def test_matrix_spec_validation():
-    with pytest.raises(DomainError):
-        RoundTripMatrixSpec(r=0, t=(), sigma=1)
-    with pytest.raises(DomainError):
-        RoundTripMatrixSpec(r=1, t=(0.5,), sigma=1)
-    with pytest.raises(DomainError):
-        RoundTripMatrixSpec(r=1, t=(0.5, 1.2), sigma=1)
-    with pytest.raises(DomainError):
-        RoundTripMatrixSpec(r=1, t=(0.5, 0.5), sigma=2)
 
 
 def test_bench_settings_hold_only_an_unread_seed():
@@ -33,49 +17,6 @@ def test_bench_settings_hold_only_an_unread_seed():
     red = from_invariants(2.0, 0.1)
     assert f_ded_total(red, settings=QuadratureSettings(seed=7)) == f_ded_total(red)
     assert f_ded_roundtrip(red, 2, QuadratureSettings(seed=7)) == f_ded_roundtrip(red, 2)
-
-
-def test_det_r1_closed_form():
-    red = from_invariants(2.0, 0.1)
-    for sigma in (+1, -1):
-        for t in [(0.3, 0.9), (1.0, 1.0), (0.0, 0.7)]:
-            spec = RoundTripMatrixSpec(r=1, t=t, sigma=sigma)
-            closed = 1.0 - (math.sqrt(red.alpha1) * t[0]
-                            + sigma * math.sqrt(red.alpha2) * t[1]) ** 2 / red.z
-            assert det_roundtrip_matrix(spec, red) == pytest.approx(closed, abs=1e-13)
-            assert det_roundtrip_transfer(spec, red) == pytest.approx(closed, abs=1e-13)
-
-
-def test_det_identity_at_zero_couplings():
-    red = from_invariants(3.0, 0.2)
-    for r in (1, 2, 3):
-        spec = RoundTripMatrixSpec(r=r, t=(0.0,) * (2 * r), sigma=-1)
-        assert det_roundtrip_matrix(spec, red) == pytest.approx(1.0, abs=1e-15)
-
-
-@given(
-    r=st.integers(min_value=1, max_value=4),
-    y=st.floats(min_value=1.05, max_value=8.0),
-    u=st.floats(min_value=0.02, max_value=0.25),
-    sigma=st.sampled_from((-1, 1)),
-    data=st.data(),
-)
-@settings(max_examples=150, deadline=None)
-def test_det_dense_vs_transfer(r, y, u, sigma, data):
-    t = tuple(
-        data.draw(st.floats(min_value=0.0, max_value=1.0)) for _ in range(2 * r))
-    red = from_invariants(y, u)
-    spec = RoundTripMatrixSpec(r=r, t=t, sigma=sigma)
-    d_lu = det_roundtrip_matrix(spec, red)
-    d_tm = det_roundtrip_transfer(spec, red)
-    assert d_lu == pytest.approx(d_tm, rel=1e-12, abs=1e-14)
-    assert d_lu > 0.0  # diagonally dominant for exterior spheres
-
-
-def test_det_rejects_bad_couplings():
-    red = from_invariants(2.0, 0.1)
-    with pytest.raises(DomainError):
-        RoundTripMatrixSpec(r=1, t=(0.5, -0.1), sigma=1)
 
 
 def test_f1_closed_form_values():
@@ -134,19 +75,6 @@ def test_roundtrip_positive():
         for r in (1, 2, 3):
             got = f_ded_roundtrip(red, r)
             assert got.value > 0.0 and got.error < 1e-8 * got.value
-
-
-def test_roundtrip_scalar_part_is_exact_at_unit_couplings():
-    # the all-delta point of the signed measure reproduces the scalar
-    # round trip: with vanishing continuous part the integral collapses
-    red = from_invariants(2.0, 0.1)
-    for r in (1, 2, 3):
-        spec_p = RoundTripMatrixSpec(r=r, t=(1.0,) * (2 * r), sigma=+1)
-        spec_m = RoundTripMatrixSpec(r=r, t=(1.0,) * (2 * r), sigma=-1)
-        total = (1.0 / det_roundtrip_matrix(spec_p, red)
-                 + 1.0 / det_roundtrip_matrix(spec_m, red))
-        val = total / (4.0 * r) / red.z ** r
-        assert val == pytest.approx(f_sc_roundtrip(red, r), rel=1e-12)
 
 
 def test_total_far_limit_single_trip():
@@ -214,31 +142,3 @@ def test_total_validates_inputs():
         f_ded_total(red, tol=0.0)
     with pytest.raises(DomainError):
         f_ded_roundtrip(red, 0)
-
-
-def _dihedral_maps(coefs):
-    """The maps i -> (+-i + k) mod n of the ring's links that keep ``coefs``."""
-    n = len(coefs)
-    maps = {tuple((sgn * i + k) % n for i in range(n)) for sgn in (1, -1) for k in range(n)}
-    return [p for p in maps if all(coefs[j] == c for j, c in zip(p, coefs))]
-
-
-def test_ring_determinant_invariant_under_link_symmetries():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        r = int(rng.integers(2, 6))
-        u = float(rng.choice([rng.uniform(0.02, 0.24), 0.25]))
-        red = from_invariants(float(rng.uniform(1.05, 4.0)), u)
-        t = rng.uniform(0.0, 1.0, 2 * r)
-        sigma = int(rng.choice((-1, 1)))
-        base = det_roundtrip_matrix(RoundTripMatrixSpec(r, tuple(t), sigma), red)
-        coefs = np.resize([math.sqrt(red.alpha1 / red.z), math.sqrt(red.alpha2 / red.z)], 2 * r)
-        group = _dihedral_maps(coefs)
-        assert len(group) == (4 * r if u == 0.25 else 2 * r)
-        for p in group:
-            moved = det_roundtrip_matrix(RoundTripMatrixSpec(r, tuple(t[list(p)]), sigma), red)
-            assert moved == pytest.approx(base, rel=1e-12, abs=0.0)
-        rot1 = tuple((i + 1) % (2 * r) for i in range(2 * r))
-        if u < 0.25:
-            moved = det_roundtrip_matrix(RoundTripMatrixSpec(r, tuple(t[list(rot1)]), sigma), red)
-            assert abs(moved / base - 1.0) > 1e-6

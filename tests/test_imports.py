@@ -6,10 +6,7 @@ from pathlib import Path
 
 import scipy.constants
 
-import casimir_spheres
-import casimir_spheres.electrolyte
 import casimir_spheres.geometry
-import casimir_spheres.validation
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -39,9 +36,3 @@ def test_evaluation_loads_no_scipy_stats_or_constants_of_its_own():
 def test_boltzmann_is_the_exact_si_value():
     assert casimir_spheres.geometry.Boltzmann == scipy.constants.Boltzmann
 
-
-def test_ring_determinants_live_in_validation_only():
-    for name in ("RoundTripMatrixSpec", "det_roundtrip_matrix", "det_roundtrip_transfer"):
-        assert getattr(casimir_spheres, name) is getattr(casimir_spheres.validation, name)
-        assert not hasattr(casimir_spheres.electrolyte, name)
-        assert name not in casimir_spheres.electrolyte.__all__

@@ -10,9 +10,11 @@ from casimir_spheres.electrolyte import f1_ded
 from casimir_spheres.errors import DomainError
 from casimir_spheres.geometry import from_invariants
 from casimir_spheres.scalar import f_sc_roundtrip
+from casimir_spheres import validation
 from casimir_spheres.validation import (DIELECTRIC_ELECTROLYTE, DRUDE_VACUUM,
-                                        SCALAR, f_roundtrip_planewave,
-                                        reflection_tm, reflection_tm_series)
+                                        SCALAR, banded_determinant_deviations,
+                                        f_roundtrip_planewave, reflection_tm,
+                                        reflection_tm_series)
 
 
 def test_kernels_at_zero():
@@ -115,3 +117,21 @@ def test_planewave_rejects_high_order():
     red = from_invariants(2.0, 0.1)
     with pytest.raises(DomainError):
         f_roundtrip_planewave(SCALAR, red, 3)
+
+
+def test_banded_determinant_matches_dense():
+    cases = list(banded_determinant_deviations())
+    assert [(ym1, u) for ym1, u, _ in cases] == [(0.05, 0.0), (0.1, 0.04), (0.5, 0.25),
+                                                 (1.0, 0.1), (3.0, 0.016)]
+    assert all(rel < 1e-12 for *_, rel in cases)
+
+
+def test_banded_determinant_check_sees_a_moved_sphere(monkeypatch):
+    # mu1 moved by 1e-9 relative on the dense side only: the recursion
+    # reads electrolyte's own _sphere_mus
+    mus = validation._sphere_mus
+    monkeypatch.setattr(validation, "_sphere_mus",
+                        lambda red: (mus(red)[0] * (1.0 + 1e-9), mus(red)[1]))
+    for ym1, u, rel in banded_determinant_deviations():
+        if u > 0.0:  # at u = 0 sphere 1 is the plane, mu1 = 0
+            assert rel > 1e-12, (ym1, u, rel)
