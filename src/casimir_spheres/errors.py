@@ -14,7 +14,7 @@ class ConvergenceError(CasimirError, RuntimeError):
 
 
 class QuadratureError(CasimirError, RuntimeError):
-    """A numerical integration failed to reach the requested accuracy."""
+    """A numerical integration missed its accuracy; nothing in the package raises it now."""
 
 
 class FitError(CasimirError, RuntimeError):

@@ -269,8 +269,8 @@ def refit(
     n : int
         Model order, >= 1.
     grid : ndarray, optional
-        y sample values; defaults to 200 points, y-1 log-spaced in
-        [1e-2, 10].
+        y sample values, more than 2n of them; defaults to 200 points,
+        y-1 log-spaced in [1e-2, 10].
     seed : int
         Perturbs the starting point deterministically; useful for
         reproducibility studies.
@@ -291,8 +291,8 @@ def refit(
     if grid is None:
         grid = default_fit_grid()
     grid = np.asarray(grid, dtype=float)
-    if grid.size < 2 or np.any(grid <= 1.0):
-        raise DomainError("fit grid must hold at least 2 samples with y > 1")
+    if grid.size <= 2 * n or np.any(grid <= 1.0):
+        raise DomainError(f"fit grid must hold more than 2n = {2 * n} samples, all with y > 1")
 
     phi_ref = np.empty(grid.size)
     for i, g in enumerate(grid):

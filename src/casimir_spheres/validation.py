@@ -4,12 +4,12 @@ Plane-wave quadrature writes the round-trip free energy as a Gaussian
 integral over transverse plane-wave coordinates (two Cartesian
 coordinates per reflection) with each sphere's reflection kernel.  One
 chunked 4-dim tensor Gauss-Hermite rule evaluates it for two spheres at
-r = 1 and for a plane and a sphere at r = 2; a 2-dim rule for the plane
-at r = 1, and quasi-Monte Carlo with a Gaussian map for two spheres at
-r = 2.  No series acceleration, no matrix identities: just the kernels
-and the quadrature.  Normalization is fixed by requiring the scalar
-kernel at r = 1 to reproduce the closed form y / (4(y^2-1)); the same
-constant serves every model and order.
+r = 1 and for a plane and a sphere at r = 2, a 2-dim rule for the plane
+at r = 1.  Two spheres at r = 2 would need 8 dimensions and are refused.
+No series acceleration, no matrix identities: just the kernels and the
+quadrature.  Normalization is fixed by requiring the scalar kernel at
+r = 1 to reproduce the closed form y / (4(y^2-1)); the same constant
+serves every model and order.
 
 The banded ded determinant: the Schur recursion of
 ``electrolyte._checkpoints`` against dense linear algebra on the same
@@ -28,9 +28,9 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 from .geometry import ReducedGeometry, from_invariants
-from .electrolyte import ValueWithError, _checkpoints, _closure, _sphere_mus
+from .electrolyte import _EPS, ValueWithError, _checkpoints, _closure, _sphere_mus
 
 __all__ = [
     "ReflectionModel",
@@ -49,17 +49,15 @@ _MULTIPOLE_CUTOFF = 40
 
 
 def _ded_bracket(chi: np.ndarray) -> np.ndarray:
-    """cosh x + 2(cosh x - 1)/x^2 - 2 sinh x / x, series-protected near 0."""
+    """cosh x + 2(cosh x - 1)/x^2 - 2 sinh x / x; where that cancels, |x| < 3, its
+    series sum_{l=1}^{13} l/(l+1) x^(2l)/(2l)! by Horner's rule, within a few ulp."""
     chi = np.asarray(chi, dtype=float)
     out = np.empty_like(chi)
-    small = np.abs(chi) < 0.5
-    cs = chi[small]
-    acc = np.zeros_like(cs)
-    p = np.ones_like(cs)
-    for ell in range(1, 14):
-        p = p * cs * cs / ((2 * ell - 1) * (2 * ell))
-        acc += ell / (ell + 1.0) * p
-    out[small] = acc
+    small = np.abs(chi) < 3.0
+    t, acc = chi[small] ** 2, 0.0
+    for ell in range(13, 0, -1):
+        acc = acc * t + ell / (ell + 1.0) / math.factorial(2 * ell)
+    out[small] = acc * t
     cb = chi[~small]
     out[~small] = np.cosh(cb) + 2.0 * (np.cosh(cb) - 1.0) / cb**2 - 2.0 * np.sinh(cb) / cb
     return out
@@ -142,72 +140,49 @@ def _plane_r1_rule(model, y: float, nodes: int) -> float:
     return float(np.sum(w[:, None] * w[None, :] * reflection_tm(model, bil / y)))
 
 
-def _planewave_sphere_sphere_r2(model, c1, c2, z, npts: int, seed: int) -> tuple:
-    """8-dim QMC with Gaussian map for two round trips, two spheres."""
-    # imported here: scipy.stats is half of the package's import time, and only this reads it
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-    kern = partial(reflection_tm, model)
-    n_rep = 4
-    m = max(8, int(math.log2(max(npts // n_rep, 256))))
-    reps = np.empty(n_rep)
-    for k in range(n_rep):
-        seed_k = np.random.SeedSequence(entropy=(seed, 81, k)).generate_state(1)[0]
-        sob = qmc.Sobol(d=8, scramble=True, seed=int(seed_k))
-        v = np.clip(sob.random_base2(m), 1e-12, 1.0 - 1e-12)
-        g = ndtri(v) / math.sqrt(2.0)  # e^{-x^2} weight
-        x, y = g[:, :4].T, g[:, 4:].T
-        # cyclic couplings b12, b23, b34, b41: reflections at sphere 1 and 2 alternate
-        b = x * np.roll(x, -1, axis=0) + y * np.roll(y, -1, axis=0)
-        vals = kern(c1 * b[0]) * kern(c2 * b[1]) * kern(c1 * b[2]) * kern(c2 * b[3])
-        reps[k] = float(vals.mean())
-    mean = float(reps.mean())
-    # the kernels grow exponentially in the Gaussian tails, which makes
-    # the replicate scatter understate the residual bias; widen it
-    err_stat = 4.0 * float(reps.std(ddof=1) / math.sqrt(n_rep))
-    pref = 0.25 / z ** 2  # (1/4)(R1R2/pi^2 dist^2)^2 * pi^4
-    return pref * mean, pref * err_stat
-
-
 def f_roundtrip_planewave(
     model: ReflectionModel,
     red: ReducedGeometry,
     r: int,
     nodes: int = 60,
-    qmc_points: int = 2**16,
-    seed: int = 0,
 ) -> ValueWithError:
     """Round-trip free energy by direct plane-wave quadrature.
+
+    A tensor Gauss-Hermite rule of ``nodes`` per dimension; its error is the
+    change from ``nodes // 2`` nodes plus 64 eps |value|.  The Gaussian
+    weight must beat the kernels' growth by a margin a = 1 - (c1 + c2)/2,
+    c_i = 2 R_i / distance (1/y at a plane).  Where nodes * a < 1, near
+    contact, value and estimate both fail, so the oracle raises there.
 
     Parameters
     ----------
     model : ReflectionModel
     red : ReducedGeometry
     r : int
-        1 or 2; higher orders are out of reach for a brute-force rule.
+        1, or 2 with a plane; two spheres at r = 2 need 8 dimensions.
     nodes : int
-        Gauss-Hermite order per dimension of the tensor rules: every
-        order with a plane, r = 1 with two spheres.
-    qmc_points, seed : int
-        Sobol point count and scramble seed for the r = 2 two-sphere
-        case.
+        At least 16.
 
     Returns
     -------
     ValueWithError
+
+    Raises
+    ------
+    DomainError
+        For another r, nodes < 16 or nodes * a < 1.
     """
+    if r not in (1, 2) or (r == 2 and not red.is_plane):
+        raise DomainError("plane-wave oracle supports r = 1, and r = 2 with a plane, only")
     if red.is_plane:
         c1 = c2 = 1.0 / red.y
     else:
         c1 = 2.0 * math.sqrt(red.alpha1 / red.z)  # 2 R1 / distance
         c2 = 2.0 * math.sqrt(red.alpha2 / red.z)
-        if c1 + c2 >= 2.0:
-            raise QuadratureError("Gaussian decay does not dominate: invalid geometry")
-    if r not in (1, 2):
-        raise DomainError("plane-wave oracle supports r in {1, 2} only")
-    if not red.is_plane and r == 2:
-        return ValueWithError(*_planewave_sphere_sphere_r2(model, c1, c2, red.z,
-                                                           qmc_points, seed))
+    margin = 1.0 - 0.5 * (c1 + c2)
+    if nodes < 16 or nodes * margin < 1.0:
+        raise DomainError(f"plane-wave rule of {nodes} nodes at Gaussian margin {margin:.3g}: "
+                          "needs nodes >= 16 and nodes * margin >= 1")
     if red.is_plane and r == 1:
         pref = 0.5 * model.plane_sign / (2.0 * red.y) / math.pi
         rule = partial(_plane_r1_rule, model, red.y)
@@ -218,7 +193,7 @@ def f_roundtrip_planewave(
                 else 0.5 / (math.pi ** 2 * red.z))
         rule = partial(_bilinear_rule, model, c1, c2)
     value = pref * rule(nodes)
-    return ValueWithError(value, abs(value - pref * rule(max(8, nodes // 2))))
+    return ValueWithError(value, abs(value - pref * rule(nodes // 2)) + 64 * _EPS * abs(value))
 
 
 # ---------------------------------------------------------------------------

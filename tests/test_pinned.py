@@ -77,9 +77,9 @@ def _planewave():
     out = []
     for model in (SCALAR, DRUDE_VACUUM, DIELECTRIC_ELECTROLYTE):
         for y, u in ((2.0, 0.1), (1.5, 0.25), (5.0, 0.0), (2.0, 0.0)):
-            for r in (1, 2):
-                res = f_roundtrip_planewave(model, from_invariants(y, u), r,
-                                            nodes=16, qmc_points=2**12, seed=3)
+            # two spheres at r = 2 are out of the oracle's reach
+            for r in (1, 2) if u == 0.0 else (1,):
+                res = f_roundtrip_planewave(model, from_invariants(y, u), r, nodes=16)
                 out += _hex((res.value, res.error))
     return out
 

@@ -134,6 +134,9 @@ def test_refit_validates_inputs():
         refit("dvd", 0.1, n=0)
     with pytest.raises(DomainError):
         refit("dvd", 0.1, grid=np.array([0.5, 2.0]))
+    # 4 targets for 2n = 4 unknowns: the fit is underdetermined
+    with pytest.raises(DomainError):
+        refit("dvd", 0.1, n=2, grid=default_fit_grid(4))
 
 
 @pytest.mark.parametrize("model, bound", [("dvd", 2e-3), ("ded", 4e-3)])

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,6 +10,7 @@ from casimir_spheres.drude import f1_dvd
 from casimir_spheres.electrolyte import f1_ded
 from casimir_spheres.errors import DomainError
 from casimir_spheres.geometry import from_invariants
+from casimir_spheres.models import MODELS
 from casimir_spheres.scalar import f_sc_roundtrip
 from casimir_spheres import validation
 from casimir_spheres.validation import (DIELECTRIC_ELECTROLYTE, DRUDE_VACUUM,
@@ -73,24 +75,6 @@ def test_planewave_scalar_bounds_dvd():
     assert sc >= dvd > 0.0
 
 
-def test_planewave_r2_scalar():
-    # plain QMC converges slowly on the exponential kernel tails; this
-    # is a sanity cross-check, not a precision route
-    red = from_invariants(3.0, 0.25)
-    got = f_roundtrip_planewave(SCALAR, red, 2, qmc_points=2**15)
-    expect = f_sc_roundtrip(red, 2)
-    assert got.value == pytest.approx(expect, rel=5e-2)
-    assert abs(got.value - expect) < 5.0 * got.error
-
-
-def test_planewave_r2_sphere_sphere_pinned():
-    # Sobol points and ndtri are imported inside the QMC route; the value
-    # and error estimate stay the same to the bit
-    got = f_roundtrip_planewave(SCALAR, from_invariants(1.5, 0.1), 2, qmc_points=2**12)
-    assert got.value.hex() == "0x1.e3c01ea85c726p-7"
-    assert got.error.hex() == "0x1.d202aeb93e288p-8"
-
-
 def test_planewave_r2_plane_case():
     red = from_invariants(2.5, 0.0)
     got = f_roundtrip_planewave(DIELECTRIC_ELECTROLYTE, red, 2, nodes=40)
@@ -117,6 +101,52 @@ def test_planewave_rejects_high_order():
     red = from_invariants(2.0, 0.1)
     with pytest.raises(DomainError):
         f_roundtrip_planewave(SCALAR, red, 3)
+    # two spheres at r = 2 would need an 8-dim rule
+    with pytest.raises(DomainError):
+        f_roundtrip_planewave(SCALAR, red, 2)
+
+
+def _gaussian_margin(y, u):
+    """1 - (c1 + c2)/2: c1 = c2 = 1/y at a plane, c1 + c2 = 2/sqrt(1 + 2u(y - 1)) else."""
+    return 1.0 - 1.0 / y if u == 0.0 else 1.0 - 1.0 / math.sqrt(1.0 + 2.0 * u * (y - 1.0))
+
+
+@pytest.mark.parametrize("nodes", (16, 40))
+@pytest.mark.parametrize("ym1, u", [(1e-3, 0.1), (0.01, 0.25), (0.05, 0.1), (0.02, 0.0),
+                                    (0.07, 0.0), (0.11, 0.25), (0.3, 0.25), (0.3, 0.1),
+                                    (0.72, 0.1), (1.0, 0.1), (4.0, 0.25), (10.0, 0.0)])
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_planewave_error_holds_or_raises(model, ym1, u, nodes):
+    # where nodes * a < 1 the estimate fails: at y - 1 = 1e-3, u = 0.1 it
+    # states 0.014 where the 60-node ded value is off by 0.97
+    red, reg = from_invariants(1.0 + ym1, u), MODELS[model]
+    if nodes * _gaussian_margin(red.y, u) < 1.0:
+        with pytest.raises(DomainError):
+            f_roundtrip_planewave(reg.reflection, red, 1, nodes=nodes)
+        return
+    got = f_roundtrip_planewave(reg.reflection, red, 1, nodes=nodes)
+    assert abs(got.value - reg.f1(red)) <= got.error
+
+
+def test_planewave_rejects_few_nodes_and_no_margin():
+    # at 8 nodes the estimate compared the rule with itself and stated 0
+    with pytest.raises(DomainError):
+        f_roundtrip_planewave(SCALAR, from_invariants(5.0, 0.1), 1, nodes=15)
+    # c1 + c2 rounds to 2 here: the Gaussian weight has no margin at all
+    with pytest.raises(DomainError):
+        f_roundtrip_planewave(SCALAR, from_invariants(1.0 + 2.2e-16, 0.25), 1)
+
+
+def test_ded_bracket_within_a_few_ulp():
+    # the closed form alone cancels up to |chi| ~ 3: about 60-fold at 0.5,
+    # and about 100 eps off on [0.5, 1]
+    chi = np.linspace(0.05, 4.0, 400)
+    got = validation._ded_bracket(chi)
+    with mpmath.workdps(40):
+        for c, g in zip(chi, got):
+            x = mpmath.mpf(float(c))
+            exact = mpmath.cosh(x) + 2 * (mpmath.cosh(x) - 1) / x**2 - 2 * mpmath.sinh(x) / x
+            assert abs(float((g - exact) / exact)) <= 8 * np.finfo(float).eps, c
 
 
 def test_banded_determinant_matches_dense():
