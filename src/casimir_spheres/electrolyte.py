@@ -66,9 +66,6 @@ class ValueWithError:
     value: float
     error: float
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def f1_ded(red: ReducedGeometry) -> float:
     """Single round-trip contribution (closed form).
@@ -172,6 +169,16 @@ def _closure(mu: float, last: int) -> np.ndarray:
     return math.exp(-mu) * lam
 
 
+def _row_counts(red: ReducedGeometry):
+    """Rows N of the successive truncations; raises :class:`ConvergenceError` past ``_MAX_ROWS``."""
+    n_rows = max(8, math.ceil(_ROWS_VARPI / red.varpi))
+    while n_rows <= _MAX_ROWS:
+        yield n_rows
+        n_rows = math.ceil(1.5 * n_rows)
+    raise ConvergenceError(f"ded: {n_rows} bispherical rows needed at y - 1 = "
+                           f"{red.y - 1.0:.3g}, more than {_MAX_ROWS}")
+
+
 def _checkpoints(red: ReducedGeometry, z):
     """Schur recursion of det K over the rows n, vectorised over m and z.
 
@@ -187,7 +194,7 @@ def _checkpoints(red: ReducedGeometry, z):
     # sum of the steps and of their absolute values; per m the pivots a1, a2
     state = np.zeros((7, z.shape[0], 0), dtype=complex)
     pivots = np.ones((2, 0))
-    n, n_end, e_p = 0, max(8, math.ceil(_ROWS_VARPI / red.varpi)), 0.0
+    n, e_p = 0, 0.0
 
     def row(n, c, e, add, prev, a1, a2):
         g11, g12, g21, g22, dl, acc, size = prev
@@ -218,10 +225,7 @@ def _checkpoints(red: ReducedGeometry, z):
         return (np.stack([n11, n12, n21, n22, ndl, acc + term, size.real + np.abs(term)]),
                 np.stack([na1, na2]))
 
-    while True:
-        if n_end > _MAX_ROWS:
-            raise ConvergenceError(f"ded: {n_end} bispherical rows needed at y - 1 = "
-                                   f"{red.y - 1.0:.3g}, more than {_MAX_ROWS}")
+    for n_end in _row_counts(red):
         # rows n..n_end-1 bring in the azimuthal indices m = n..n_end-1
         state = np.concatenate([state, np.zeros(state.shape[:2] + (n_end - n,))], axis=2)
         pivots = np.concatenate([pivots, np.ones((2, n_end - n))], axis=1)
@@ -238,7 +242,7 @@ def _checkpoints(red: ReducedGeometry, z):
                 yield n_end, (closed[5] * w).sum(axis=-1), float((closed[6].real * w).sum(-1).max())
             state[:, :, :n + 1], pivots[:, :n + 1] = new
             e_p = e
-        n, n_end = n_end, math.ceil(1.5 * n_end)
+        n = n_end
 
 
 def _converged(red: ReducedGeometry, z, tol: float) -> tuple:
@@ -247,6 +251,8 @@ def _converged(red: ReducedGeometry, z, tol: float) -> tuple:
     Returns (log_det, change, roundoff): each log_det's change from the
     previous truncation, and eps times the rows times the size summed.
     """
+    rows = _row_counts(red)
+    next(rows), next(rows)  # two truncations at least: raise before any row if they cannot fit
     prev = None
     # near y = 1e308 the rows overflow, which shows as a non-finite change
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,46 +1,54 @@
 """Registry of the three models and their universal quantities.
 
-Every model provides the same three things: the total reduced free
-energy ``f``, the closed-form single round trip ``f1`` and the
-plane-wave reflection kernel the validation oracle integrates.  The
-two electromagnetic models also carry the built-in parameters of the
-rational approximant.  Code that works for any model looks the model
-up here by name instead of branching on it.  A total or ``f1`` read
-through it is positive or raises :class:`ConvergenceError`.
+The models differ only in each sphere's zero-frequency TM reflection:
+Dirichlet (scalar), Dirichlet without its monopole (dvd) and the Neumann
+amplitude -l/(l+1) (ded).  Each entry holds the total ``f``, the
+closed-form single round trip ``f1`` and that reflection as data, which
+the plane-wave oracle integrates; the two electromagnetic models also
+carry the built-in parameters of the rational approximant.  Code that
+works for any model looks it up here by name instead of branching on
+it.  A total or ``f1`` read through it is positive or raises
+:class:`ConvergenceError`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
+
+import numpy as np
 
 from .drude import f1_dvd, f_dvd_total
 from .electrolyte import ValueWithError, f1_ded, f_ded_total
 from .errors import ConvergenceError, DomainError
 from .scalar import f_sc_roundtrip, f_sc_total
-from .validation import (DIELECTRIC_ELECTROLYTE, DRUDE_VACUUM, SCALAR,
-                         ReflectionModel)
 
 __all__ = ["Model", "MODELS", "APPROX_MODELS", "get_model"]
 
 
 @dataclass(frozen=True)
 class Model:
-    """One model's entry points.
+    """One model's entry points and reflection kernel.
 
     ``raw_total(red, tol) -> ValueWithError`` and ``raw_f1(red)`` are the
     library functions; :meth:`total` and :meth:`f1` return their values
     where they are positive and raise :class:`ConvergenceError` elsewhere:
     there the terms have cancelled (very large y) and left no digit, so
     no quantity read through them, phi = f/f1 above all, has a value.
-    ``reflection`` is the oracle's kernel.  ``approx`` holds the built-in
-    ``(nu, mu)`` of the rational approximant, or ``None`` when the model
-    has none.
+    ``kernel(chi)`` is the closed form of the zero-frequency TM reflection
+    kernel and ``amplitude(ell)``, ell >= 0, its multipole amplitude A_ell:
+    the kernel is sum_ell A_ell chi^(2 ell) / (2 ell)!.  A plane reflects
+    with ``plane_sign``, the sign of the kernel.  ``approx`` holds the
+    built-in ``(nu, mu)`` of the rational approximant, or ``None`` when
+    the model has none.
     """
 
     raw_total: Callable[..., ValueWithError]
     raw_f1: Callable[..., float]
-    reflection: ReflectionModel
+    kernel: Callable[[np.ndarray], np.ndarray]
+    amplitude: Callable[[int], float]
+    plane_sign: float = 1.0
     approx: tuple | None = None
 
     def total(self, red, **kwargs) -> ValueWithError:
@@ -72,12 +80,31 @@ def _series_total(fn):
     return total
 
 
+def _ded_bracket(chi: np.ndarray) -> np.ndarray:
+    """cosh x + 2(cosh x - 1)/x^2 - 2 sinh x / x; where that cancels, |x| < 3, its
+    series sum_{l=1}^{13} l/(l+1) x^(2l)/(2l)! by Horner's rule, within a few ulp."""
+    chi = np.asarray(chi, dtype=float)
+    out = np.empty_like(chi)
+    small = np.abs(chi) < 3.0
+    t, acc = chi[small] ** 2, 0.0
+    for ell in range(13, 0, -1):
+        acc = acc * t + ell / (ell + 1.0) / math.factorial(2 * ell)
+    out[small] = acc * t
+    cb = chi[~small]
+    out[~small] = np.cosh(cb) + 2.0 * (np.cosh(cb) - 1.0) / cb**2 - 2.0 * np.sinh(cb) / cb
+    return out
+
+
 MODELS = {
-    "scalar": Model(_series_total(f_sc_total), partial(f_sc_roundtrip, r=1), SCALAR),
-    "dvd": Model(_series_total(f_dvd_total), f1_dvd, DRUDE_VACUUM,
+    "scalar": Model(_series_total(f_sc_total), partial(f_sc_roundtrip, r=1),
+                    np.cosh, lambda ell: 1.0),
+    "dvd": Model(_series_total(f_dvd_total), f1_dvd,
+                 lambda chi: np.cosh(chi) - 1.0, lambda ell: 1.0 if ell else 0.0,
                  approx=((0.011495, 0.19868), (0.011359, 0.16728))),
-    "ded": Model(f_ded_total, f1_ded, DIELECTRIC_ELECTROLYTE,
-                 approx=((0.004618, 0.09639), (0.004415, 0.08397))),
+    # the kernel of this model is negative
+    "ded": Model(f_ded_total, f1_ded,
+                 lambda chi: -_ded_bracket(chi), lambda ell: -ell / (ell + 1.0),
+                 plane_sign=-1.0, approx=((0.004618, 0.09639), (0.004415, 0.08397))),
 }
 
 APPROX_MODELS = tuple(name for name, m in MODELS.items() if m.approx is not None)

@@ -2,14 +2,15 @@
 
 Plane-wave quadrature writes the round-trip free energy as a Gaussian
 integral over transverse plane-wave coordinates (two Cartesian
-coordinates per reflection) with each sphere's reflection kernel.  One
-chunked 4-dim tensor Gauss-Hermite rule evaluates it for two spheres at
-r = 1 and for a plane and a sphere at r = 2, a 2-dim rule for the plane
-at r = 1.  Two spheres at r = 2 would need 8 dimensions and are refused.
-No series acceleration, no matrix identities: just the kernels and the
-quadrature.  Normalization is fixed by requiring the scalar kernel at
-r = 1 to reproduce the closed form y / (4(y^2-1)); the same constant
-serves every model and order.
+coordinates per reflection) with each sphere's reflection kernel, read
+by model name from the registry ``models.MODELS``.  One chunked 4-dim
+tensor Gauss-Hermite rule evaluates it for two spheres at r = 1 and for
+a plane and a sphere at r = 2, a 2-dim rule for the plane at r = 1.  Two
+spheres at r = 2 would need 8 dimensions and are refused.  No series
+acceleration, no matrix identities: just the kernels and the quadrature.
+Normalization is fixed by requiring the scalar kernel at r = 1 to
+reproduce the closed form y / (4(y^2-1)); the same constant serves every
+model and order.
 
 The banded ded determinant: the Schur recursion of
 ``electrolyte._checkpoints`` against dense linear algebra on the same
@@ -21,9 +22,7 @@ subcommand prints each case, the acceptance suite bounds the worst.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -31,12 +30,9 @@ from numpy.polynomial.hermite import hermgauss
 from .errors import DomainError
 from .geometry import ReducedGeometry, from_invariants
 from .electrolyte import _EPS, ValueWithError, _checkpoints, _closure, _sphere_mus
+from .models import MODELS, get_model
 
 __all__ = [
-    "ReflectionModel",
-    "SCALAR",
-    "DRUDE_VACUUM",
-    "DIELECTRIC_ELECTROLYTE",
     "reflection_tm",
     "reflection_tm_series",
     "f_roundtrip_planewave",
@@ -48,78 +44,40 @@ __all__ = [
 _MULTIPOLE_CUTOFF = 40
 
 
-def _ded_bracket(chi: np.ndarray) -> np.ndarray:
-    """cosh x + 2(cosh x - 1)/x^2 - 2 sinh x / x; where that cancels, |x| < 3, its
-    series sum_{l=1}^{13} l/(l+1) x^(2l)/(2l)! by Horner's rule, within a few ulp."""
-    chi = np.asarray(chi, dtype=float)
-    out = np.empty_like(chi)
-    small = np.abs(chi) < 3.0
-    t, acc = chi[small] ** 2, 0.0
-    for ell in range(13, 0, -1):
-        acc = acc * t + ell / (ell + 1.0) / math.factorial(2 * ell)
-    out[small] = acc * t
-    cb = chi[~small]
-    out[~small] = np.cosh(cb) + 2.0 * (np.cosh(cb) - 1.0) / cb**2 - 2.0 * np.sinh(cb) / cb
-    return out
+def reflection_tm(model: str, chi) -> np.ndarray | float:
+    """Closed-form zero-frequency TM reflection kernel of the registry's ``model``.
 
-
-@dataclass(frozen=True)
-class ReflectionModel:
-    """One model's zero-frequency TM reflection kernel, held as data.
-
-    ``kind`` labels it in ``validate``'s output, ``kernel(chi)`` is its
-    closed form and ``amplitude(ell)``, ell >= 0, its multipole amplitude
-    A_ell: the kernel is sum_ell A_ell chi^(2 ell) / (2 ell)!.  A plane
-    reflects with ``plane_sign``, the sign of the kernel.
+    cosh(chi) for scalar, cosh(chi) - 1 for dvd (a Drude sphere in vacuum)
+    and minus the dielectric-in-electrolyte bracket for ded.  Raises
+    :class:`DomainError` for an unknown name.
     """
-
-    kind: str
-    kernel: Callable[[np.ndarray], np.ndarray]
-    amplitude: Callable[[int], float]
-    plane_sign: float = 1.0
-
-
-SCALAR = ReflectionModel("scalar-Dirichlet", np.cosh, lambda ell: 1.0)
-DRUDE_VACUUM = ReflectionModel("Drude-vacuum", lambda chi: np.cosh(chi) - 1.0,
-                               lambda ell: 1.0 if ell else 0.0)
-# the kernel of this model is negative
-DIELECTRIC_ELECTROLYTE = ReflectionModel("dielectric-electrolyte", lambda chi: -_ded_bracket(chi),
-                                         lambda ell: -ell / (ell + 1.0), plane_sign=-1.0)
-
-
-def reflection_tm(model: ReflectionModel, chi) -> np.ndarray | float:
-    """Closed-form TM reflection kernel at the zero-frequency limit.
-
-    cosh(chi) for the scalar model, cosh(chi) - 1 for a Drude sphere in
-    vacuum, and minus the dielectric-in-electrolyte bracket.
-    """
-    out = model.kernel(np.asarray(chi, dtype=float))
+    out = get_model(model).kernel(np.asarray(chi, dtype=float))
     return float(out) if np.ndim(chi) == 0 else out
 
 
-def reflection_tm_series(model: ReflectionModel, chi) -> np.ndarray | float:
+def reflection_tm_series(model: str, chi) -> np.ndarray | float:
     """Truncated multipole series of the same kernel, for cross-checks.
 
     Sums A_ell chi^(2 ell) / (2 ell)! for ell = 0 to 40
     (``_MULTIPOLE_CUTOFF``), A_ell the model's ``amplitude``.
     """
+    amplitude = get_model(model).amplitude
     chi_arr = np.asarray(chi, dtype=float)
     acc = np.zeros_like(chi_arr)
     p = np.ones_like(chi_arr)
     for ell in range(_MULTIPOLE_CUTOFF + 1):
         if ell:
             p = p * chi_arr * chi_arr / ((2 * ell - 1) * (2 * ell))
-        acc = acc + model.amplitude(ell) * p
+        acc = acc + amplitude(ell) * p
     return float(acc) if np.ndim(chi) == 0 else acc
 
 
-def _bilinear_rule(model, c1, c2, nodes: int) -> float:
+def _bilinear_rule(kern, c1, c2, nodes: int) -> float:
     """4-dim tensor Gauss-Hermite sum of kern(c1 w) kern(c2 w), w = x1 x2 + y1 y2.
 
     Gauss-Hermite absorbs the weight e^{-x^2} of each coordinate; the sum
     runs over 8 nodes of x1 at a time to bound memory.
     """
-    kern = partial(reflection_tm, model)
     x, w = hermgauss(nodes)
     total = 0.0
     X2, Y1, Y2 = x[None, :, None, None], x[None, None, :, None], x[None, None, None, :]
@@ -132,16 +90,16 @@ def _bilinear_rule(model, c1, c2, nodes: int) -> float:
     return total
 
 
-def _plane_r1_rule(model, y: float, nodes: int) -> float:
+def _plane_r1_rule(kern, y: float, nodes: int) -> float:
     """2-dim tensor Gauss-Hermite sum of kern((x1^2 + y1^2)/y), the plane's r = 1."""
     x, w = hermgauss(nodes)
     # polar reduction would work, but stay brute force
     bil = x[:, None] ** 2 + x[None, :] ** 2
-    return float(np.sum(w[:, None] * w[None, :] * reflection_tm(model, bil / y)))
+    return float(np.sum(w[:, None] * w[None, :] * kern(bil / y)))
 
 
 def f_roundtrip_planewave(
-    model: ReflectionModel,
+    model: str,
     red: ReducedGeometry,
     r: int,
     nodes: int = 60,
@@ -156,7 +114,8 @@ def f_roundtrip_planewave(
 
     Parameters
     ----------
-    model : ReflectionModel
+    model : str
+        A name in the registry: ``"scalar"``, ``"dvd"`` or ``"ded"``.
     red : ReducedGeometry
     r : int
         1, or 2 with a plane; two spheres at r = 2 need 8 dimensions.
@@ -170,8 +129,9 @@ def f_roundtrip_planewave(
     Raises
     ------
     DomainError
-        For another r, nodes < 16 or nodes * a < 1.
+        For an unknown model, another r, nodes < 16 or nodes * a < 1.
     """
+    reg = get_model(model)
     if r not in (1, 2) or (r == 2 and not red.is_plane):
         raise DomainError("plane-wave oracle supports r = 1, and r = 2 with a plane, only")
     if red.is_plane:
@@ -184,14 +144,14 @@ def f_roundtrip_planewave(
         raise DomainError(f"plane-wave rule of {nodes} nodes at Gaussian margin {margin:.3g}: "
                           "needs nodes >= 16 and nodes * margin >= 1")
     if red.is_plane and r == 1:
-        pref = 0.5 * model.plane_sign / (2.0 * red.y) / math.pi
-        rule = partial(_plane_r1_rule, model, red.y)
+        pref = 0.5 * reg.plane_sign / (2.0 * red.y) / math.pi
+        rule = partial(_plane_r1_rule, reg.kernel, red.y)
     else:
         # (1/2)(R1 R2 / pi^2 dist^2); with a plane both reflections are at
         # the sphere, chi = w/y, and the plane's sign squares to 1
         pref = (0.25 / (2.0 * red.y) ** 2 / math.pi ** 2 if red.is_plane
                 else 0.5 / (math.pi ** 2 * red.z))
-        rule = partial(_bilinear_rule, model, c1, c2)
+        rule = partial(_bilinear_rule, reg.kernel, c1, c2)
     value = pref * rule(nodes)
     return ValueWithError(value, abs(value - pref * rule(nodes // 2)) + 64 * _EPS * abs(value))
 
@@ -231,16 +191,15 @@ def _dense_log_det(red: ReducedGeometry, n_rows: int) -> float:
 
 
 def planewave_r1_deviations():
-    """Yield (y, u, kernel kind, |plane-wave r = 1 / closed form - 1|).
+    """Yield (y, u, model name, |plane-wave r = 1 / closed form - 1|).
 
     One case per model at each of (y, u) = (1.5, 0.25), (2, 0.1), (5, 0).
     """
-    from .models import MODELS  # models imports this module for its kernels
     for y, u in ((1.5, 0.25), (2.0, 0.1), (5.0, 0.0)):
         red = from_invariants(y, u)
-        for model in MODELS.values():
-            got = f_roundtrip_planewave(model.reflection, red, 1).value
-            yield y, u, model.reflection.kind, abs(got / model.f1(red) - 1.0)
+        for name, model in MODELS.items():
+            got = f_roundtrip_planewave(name, red, 1).value
+            yield y, u, name, abs(got / model.f1(red) - 1.0)
 
 
 def banded_determinant_deviations():

@@ -285,17 +285,14 @@ def test_config_file_flag_precedence(tmp_path, capsys):
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     # unknown keys, and values that the key's flag does not accept;
-    # fit and validate sum no totals, so they have no tol or rmax;
-    # validate draws nothing at random, so it has no seed
+    # fit sums no totals, so it has no tol
     for argv, doc, word in [(["curve", "--model", "scalar"], {"bogus": 1}, "bogus"),
                             (["curve", "--model", "scalar"], {"linear": True}, "linear"),
                             (["curve", "--model", "scalar"], {"points": 3.5}, "--points"),
                             (["curve", "--model", "scalar"], {"tol": "x"}, "--tol"),
                             (["compute", "--model", "scalar"], {"tol": "x"}, "--tol"),
                             (["compute", "--model", "scalar"], {"plane": 1}, "plane"),
-                            (["fit", "--model", "dvd"], {"tol": 1e-6}, "tol"),
-                            (["validate"], {"rmax": 3}, "rmax"),
-                            (["validate"], {"seed": 1}, "seed")]:
+                            (["fit", "--model", "dvd"], {"tol": 1e-6}, "tol")]:
         cfg.write_text(json.dumps(doc))
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--config", str(cfg)])
@@ -305,12 +302,15 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["fit", "--model", "dvd", "--tol", "1e-6"],
                                   ["validate", "--rmax", "3"],
-                                  ["validate", "--seed", "1"]])
+                                  ["validate", "--seed", "1"],
+                                  # validate has no flag a config file could set
+                                  ["validate", "--config", "empty.json"]])
 def test_fit_and_validate_have_no_total_flags(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments" in out.err
 
 
 def test_validate_bounds_phi_by_zeta3(monkeypatch, capsys):
@@ -348,7 +348,7 @@ def test_fit_model_from_config(tmp_path, capsys):
         assert out.out == "" and "--model" in out.err
 
 
-@pytest.mark.parametrize("command", ["compute", "curve", "fit", "validate"])
+@pytest.mark.parametrize("command", ["compute", "curve", "fit"])
 def test_config_accepts_every_flag(tmp_path, monkeypatch, command):
     seen = {}
     monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.update(vars(args)) or 0)

@@ -10,7 +10,7 @@ from casimir_spheres.electrolyte import f_ded_total
 from casimir_spheres.errors import ConvergenceError
 from casimir_spheres.geometry import PLANE, SphereGeometry, from_invariants, reduce
 from casimir_spheres.scalar import ZETA3, f_sc_total
-from casimir_spheres.validation import DRUDE_VACUUM, f_roundtrip_planewave
+from casimir_spheres.validation import f_roundtrip_planewave
 
 
 def test_capacitance_far_limit_equal_spheres():
@@ -131,7 +131,7 @@ def test_ratio_band_and_far_limit():
 def test_oracle_equivalence_r1():
     for (y, u) in [(1.5, 0.25), (2.0, 0.1), (2.0, 0.25), (5.0, 0.04), (3.0, 0.0)]:
         red = from_invariants(y, u)
-        got = f_roundtrip_planewave(DRUDE_VACUUM, red, 1).value
+        got = f_roundtrip_planewave("dvd", red, 1).value
         assert got == pytest.approx(f1_dvd(red), rel=1e-6)
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from casimir_spheres import electrolyte
 from casimir_spheres.electrolyte import (QuadratureSettings, f1_ded, f_ded_dipole,
                                          f_ded_roundtrip, f_ded_total)
 from casimir_spheres.errors import ConvergenceError, DomainError
@@ -134,6 +135,41 @@ def test_large_y_two_sphere_f1_raises_typed_error():
     for y in (1e100, 1e200):
         with pytest.raises(ConvergenceError):
             f_ded_total(from_invariants(y, 0.25))
+
+
+@pytest.fixture
+def recursion_starts(monkeypatch):
+    """The geometries the Schur recursion started on: it reads the spheres'
+    mu before its first row."""
+    started, mus = [], electrolyte._sphere_mus
+    monkeypatch.setattr(electrolyte, "_sphere_mus", lambda red: started.append(red) or mus(red))
+    return started
+
+
+def test_total_raises_before_any_row_where_the_second_truncation_cannot_fit(
+        monkeypatch, recursion_starts):
+    # the stop rule compares two truncations at least
+    red = from_invariants(2.0, 0.1)
+    n0 = next(electrolyte._row_counts(red))
+    monkeypatch.setattr(electrolyte, "_MAX_ROWS", math.ceil(1.5 * n0) - 1)
+    with pytest.raises(ConvergenceError, match="bispherical rows"):
+        f_ded_total(red)
+    assert recursion_starts == []
+    monkeypatch.setattr(electrolyte, "_MAX_ROWS", math.ceil(1.5 * n0))
+    assert f_ded_total(red).value > 0.0
+    assert recursion_starts == [red]
+
+
+@pytest.mark.parametrize("ym1", [3e-7, 4e-7])
+def test_total_just_above_the_row_cap_raises_at_once(recursion_starts, ym1):
+    # N0 fits under the cap there and 1.5 N0 does not, so a cap checked only
+    # before each truncation would run all N0 rows, over 100 s, and then raise
+    red = from_invariants(1.0 + ym1, 0.1)
+    n0 = next(electrolyte._row_counts(red))
+    assert n0 <= electrolyte._MAX_ROWS < math.ceil(1.5 * n0)
+    with pytest.raises(ConvergenceError, match="bispherical rows"):
+        f_ded_total(red)
+    assert recursion_starts == []
 
 
 def test_total_validates_inputs():

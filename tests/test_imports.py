@@ -1,4 +1,5 @@
-"""What evaluation imports: no scipy module at all."""
+"""What evaluation imports: no scipy module at all, and no import cycle."""
+import ast
 import json
 import subprocess
 import sys
@@ -9,6 +10,27 @@ import scipy.constants
 import casimir_spheres.geometry
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+PACKAGE = Path(SRC) / "casimir_spheres"
+
+
+def _imports(path):
+    """(node, whether a function encloses it) of every import statement in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    in_function = {id(node) for f in ast.walk(tree)
+                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) for node in ast.walk(f)}
+    return [(node, id(node) in in_function) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_models_import_nothing_from_validation():
+    # validation reads the models' kernels, never the other way round
+    for node, _ in _imports(PACKAGE / "models.py"):
+        names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+        assert not any("validation" in name for name in names), ast.dump(node)
+
+
+def test_validation_imports_at_module_level_only():
+    assert [node.lineno for node, inner in _imports(PACKAGE / "validation.py") if inner] == []
 
 
 def test_every_subcommand_runs_with_scipy_blocked():

@@ -4,29 +4,27 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from casimir_spheres.drude import f1_dvd
 from casimir_spheres.electrolyte import f1_ded
 from casimir_spheres.errors import DomainError
 from casimir_spheres.geometry import from_invariants
-from casimir_spheres.models import MODELS
+from casimir_spheres.models import MODELS, get_model
 from casimir_spheres.scalar import f_sc_roundtrip
-from casimir_spheres import validation
-from casimir_spheres.validation import (DIELECTRIC_ELECTROLYTE, DRUDE_VACUUM,
-                                        SCALAR, banded_determinant_deviations,
+from casimir_spheres import models, validation
+from casimir_spheres.validation import (banded_determinant_deviations,
                                         f_roundtrip_planewave, reflection_tm,
                                         reflection_tm_series)
 
 
 def test_kernels_at_zero():
-    assert reflection_tm(SCALAR, 0.0) == 1.0
-    assert reflection_tm(DRUDE_VACUUM, 0.0) == 0.0
-    assert reflection_tm(DIELECTRIC_ELECTROLYTE, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert reflection_tm("scalar", 0.0) == 1.0
+    assert reflection_tm("dvd", 0.0) == 0.0
+    assert reflection_tm("ded", 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_series_matches_closed_forms():
-    for model in (SCALAR, DRUDE_VACUUM, DIELECTRIC_ELECTROLYTE):
+    for model in MODELS:
         closed = reflection_tm(model, 1.0)
         series = reflection_tm_series(model, 1.0)
         assert series == pytest.approx(closed, rel=1e-14)
@@ -35,14 +33,15 @@ def test_series_matches_closed_forms():
 def test_ded_integral_representation_identity():
     # int_0^1 dt [cosh chi - 2 t cosh(t chi)] equals the explicit bracket
     for chi in (0.1, 1.0, 5.0):
-        val, _ = quad(lambda t: math.cosh(chi) - 2 * t * math.cosh(t * chi), 0, 1,
-                      epsabs=1e-14, epsrel=1e-14)
-        assert -reflection_tm(DIELECTRIC_ELECTROLYTE, chi) == pytest.approx(val, rel=1e-12)
+        with mpmath.workdps(30):
+            x = mpmath.mpf(chi)
+            val = float(mpmath.quad(lambda t: mpmath.cosh(x) - 2 * t * mpmath.cosh(t * x), [0, 1]))
+        assert -reflection_tm("ded", chi) == pytest.approx(val, rel=1e-12)
 
 
 def test_kernel_parity():
     chi = np.linspace(-3.0, 3.0, 13)
-    for model in (SCALAR, DRUDE_VACUUM, DIELECTRIC_ELECTROLYTE):
+    for model in MODELS:
         vals = reflection_tm(model, chi)
         assert np.allclose(vals, vals[::-1], rtol=1e-14)
 
@@ -52,9 +51,9 @@ def test_planewave_r1_reproduces_closed_forms():
     for (y, u) in cases:
         red = from_invariants(y, u)
         targets = {
-            SCALAR: f_sc_roundtrip(red, 1),
-            DRUDE_VACUUM: f1_dvd(red),
-            DIELECTRIC_ELECTROLYTE: f1_ded(red),
+            "scalar": f_sc_roundtrip(red, 1),
+            "dvd": f1_dvd(red),
+            "ded": f1_ded(red),
         }
         for model, target in targets.items():
             got = f_roundtrip_planewave(model, red, 1)
@@ -63,21 +62,21 @@ def test_planewave_r1_reproduces_closed_forms():
 
 def test_planewave_gh_convergence_estimate():
     red = from_invariants(2.0, 0.1)
-    v40 = f_roundtrip_planewave(SCALAR, red, 1, nodes=40)
-    v80 = f_roundtrip_planewave(SCALAR, red, 1, nodes=80)
+    v40 = f_roundtrip_planewave("scalar", red, 1, nodes=40)
+    v80 = f_roundtrip_planewave("scalar", red, 1, nodes=80)
     assert abs(v80.value - v40.value) < v40.error
 
 
 def test_planewave_scalar_bounds_dvd():
     red = from_invariants(2.0, 0.25)
-    sc = f_roundtrip_planewave(SCALAR, red, 1).value
-    dvd = f_roundtrip_planewave(DRUDE_VACUUM, red, 1).value
+    sc = f_roundtrip_planewave("scalar", red, 1).value
+    dvd = f_roundtrip_planewave("dvd", red, 1).value
     assert sc >= dvd > 0.0
 
 
 def test_planewave_r2_plane_case():
     red = from_invariants(2.5, 0.0)
-    got = f_roundtrip_planewave(DIELECTRIC_ELECTROLYTE, red, 2, nodes=40)
+    got = f_roundtrip_planewave("ded", red, 2, nodes=40)
     # cross-checked against the matrix-form engine
     from casimir_spheres.electrolyte import f_ded_roundtrip
     expect = f_ded_roundtrip(red, 2).value
@@ -90,7 +89,7 @@ def test_planewave_plane_r2_works_in_chunks():
     red = from_invariants(2.0, 0.0)
     tracemalloc.start()
     try:
-        f_roundtrip_planewave(DIELECTRIC_ELECTROLYTE, red, 2, nodes=40)
+        f_roundtrip_planewave("ded", red, 2, nodes=40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -100,10 +99,10 @@ def test_planewave_plane_r2_works_in_chunks():
 def test_planewave_rejects_high_order():
     red = from_invariants(2.0, 0.1)
     with pytest.raises(DomainError):
-        f_roundtrip_planewave(SCALAR, red, 3)
+        f_roundtrip_planewave("scalar", red, 3)
     # two spheres at r = 2 would need an 8-dim rule
     with pytest.raises(DomainError):
-        f_roundtrip_planewave(SCALAR, red, 2)
+        f_roundtrip_planewave("scalar", red, 2)
 
 
 def _gaussian_margin(y, u):
@@ -119,29 +118,29 @@ def _gaussian_margin(y, u):
 def test_planewave_error_holds_or_raises(model, ym1, u, nodes):
     # where nodes * a < 1 the estimate fails: at y - 1 = 1e-3, u = 0.1 it
     # states 0.014 where the 60-node ded value is off by 0.97
-    red, reg = from_invariants(1.0 + ym1, u), MODELS[model]
+    red = from_invariants(1.0 + ym1, u)
     if nodes * _gaussian_margin(red.y, u) < 1.0:
         with pytest.raises(DomainError):
-            f_roundtrip_planewave(reg.reflection, red, 1, nodes=nodes)
+            f_roundtrip_planewave(model, red, 1, nodes=nodes)
         return
-    got = f_roundtrip_planewave(reg.reflection, red, 1, nodes=nodes)
-    assert abs(got.value - reg.f1(red)) <= got.error
+    got = f_roundtrip_planewave(model, red, 1, nodes=nodes)
+    assert abs(got.value - MODELS[model].f1(red)) <= got.error
 
 
 def test_planewave_rejects_few_nodes_and_no_margin():
     # at 8 nodes the estimate compared the rule with itself and stated 0
     with pytest.raises(DomainError):
-        f_roundtrip_planewave(SCALAR, from_invariants(5.0, 0.1), 1, nodes=15)
+        f_roundtrip_planewave("scalar", from_invariants(5.0, 0.1), 1, nodes=15)
     # c1 + c2 rounds to 2 here: the Gaussian weight has no margin at all
     with pytest.raises(DomainError):
-        f_roundtrip_planewave(SCALAR, from_invariants(1.0 + 2.2e-16, 0.25), 1)
+        f_roundtrip_planewave("scalar", from_invariants(1.0 + 2.2e-16, 0.25), 1)
 
 
 def test_ded_bracket_within_a_few_ulp():
     # the closed form alone cancels up to |chi| ~ 3: about 60-fold at 0.5,
     # and about 100 eps off on [0.5, 1]
     chi = np.linspace(0.05, 4.0, 400)
-    got = validation._ded_bracket(chi)
+    got = models._ded_bracket(chi)
     with mpmath.workdps(40):
         for c, g in zip(chi, got):
             x = mpmath.mpf(float(c))
@@ -165,3 +164,15 @@ def test_banded_determinant_check_sees_a_moved_sphere(monkeypatch):
     for ym1, u, rel in banded_determinant_deviations():
         if u > 0.0:  # at u = 0 sphere 1 is the plane, mu1 = 0
             assert rel > 1e-12, (ym1, u, rel)
+
+
+@pytest.mark.parametrize("name", ["bogus", None, "Drude-vacuum", ["ded"]])
+def test_oracle_takes_registry_names_only(name):
+    with pytest.raises(DomainError, match="unknown model"):
+        get_model(name)
+    with pytest.raises(DomainError, match="unknown model"):
+        reflection_tm(name, 1.0)
+    with pytest.raises(DomainError, match="unknown model"):
+        reflection_tm_series(name, 1.0)
+    with pytest.raises(DomainError, match="unknown model"):
+        f_roundtrip_planewave(name, from_invariants(2.0, 0.1), 1)
