@@ -12,11 +12,10 @@ __version__ = "0.1.0"
 from .errors import (AccuracyWarning, CasimirError, ConvergenceError,
                      DomainError, FitError, QuadratureError)
 from .geometry import (PLANE, ReducedGeometry, SphereGeometry,
-                       free_energy_si, from_invariants, reduce,
-                       to_sphere_geometry)
+                       free_energy_si, from_invariants, reduce)
 from .scalar import ZETA3, f_pfa, f_sc_roundtrip, f_sc_total
 from .drude import (CapacitanceMatrix, capacitance_coeffs, f1_dvd,
-                    f_dvd_dipole, f_dvd_total, mutual_capacitance_maxwell)
+                    f_dvd_dipole, f_dvd_total)
 from .electrolyte import (QuadratureSettings, ValueWithError, f1_ded,
                           f_ded_dipole, f_ded_roundtrip, f_ded_total)
 from .rational import (DED_PARAMS, DVD_PARAMS, FitResult,
@@ -29,10 +28,10 @@ __all__ = [
     "AccuracyWarning", "CasimirError", "ConvergenceError", "DomainError",
     "FitError", "QuadratureError",
     "PLANE", "ReducedGeometry", "SphereGeometry", "free_energy_si",
-    "from_invariants", "reduce", "to_sphere_geometry",
+    "from_invariants", "reduce",
     "ZETA3", "f_pfa", "f_sc_roundtrip", "f_sc_total",
     "CapacitanceMatrix", "capacitance_coeffs", "f1_dvd", "f_dvd_dipole",
-    "f_dvd_total", "mutual_capacitance_maxwell",
+    "f_dvd_total",
     "QuadratureSettings", "ValueWithError", "f1_ded", "f_ded_dipole",
     "f_ded_roundtrip", "f_ded_total",
     "DED_PARAMS", "DVD_PARAMS", "FitResult", "RationalModelParams",

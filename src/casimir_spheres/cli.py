@@ -165,15 +165,21 @@ def cmd_curve(args) -> int:
         if args.params != "builtin":
             params = dict.fromkeys(models, _read_params(args.params, models))
 
+    total_us = u_values
+    if args.quantity.endswith("_over_quarter"):  # the ratio quantities read u = 1/4 too
+        total_us = list(dict.fromkeys(u_values + [0.25]))
+
     @functools.cache
+    def totals(model, y):
+        # every total of one (model, y), failed ones too, is evaluated in one
+        # call when a row first reads one of them: ded runs one recursion for
+        # all the u; f1 and f_approx rows read none
+        return {u: (math.nan, math.nan) if isinstance(res, ConvergenceError)
+                else (res.value, res.error)
+                for u, res in zip(total_us, get_model(model).totals(y, total_us, tol=args.tol))}
+
     def total(model, y, u):
-        # each (model, y, u) total, a failed one too, is evaluated once,
-        # when a row first reads it; the ratio quantities share u = 1/4
-        try:
-            res = get_model(model).total(from_invariants(y, u), tol=args.tol)
-        except ConvergenceError:
-            return math.nan, math.nan
-        return res.value, res.error
+        return totals(model, y)[u]
 
     def point(model, y, u):
         try:

@@ -22,7 +22,6 @@ from .scalar import _series_sum, f_sc_total
 __all__ = [
     "CapacitanceMatrix",
     "capacitance_coeffs",
-    "mutual_capacitance_maxwell",
     "f_dvd_total",
     "f1_dvd",
     "f_dvd_dipole",
@@ -113,17 +112,6 @@ def capacitance_coeffs(red: ReducedGeometry, tol: float = 1e-12) -> CapacitanceM
     B = c22 - sa2
     det_m1 = sa1 * B + sa2 * A + A * B - c12 * c12
     return CapacitanceMatrix(c11=c11, c22=c22, c12=c12, det=1.0 + det_m1, det_minus_one=det_m1)
-
-
-def mutual_capacitance_maxwell(red: ReducedGeometry, tol: float = 1e-12) -> float:
-    """Mutual capacitance C12 normalized by 4*pi*eps0 (a length).
-
-    Equals -(R1 R2 / center_distance) * sum_{m>=1} sinh(varpi)/sinh(m varpi)
-    in the length unit carried by ``red.r_eff``; identical to
-    sqrt(R1 R2) * c12.
-    """
-    uz = 1.0 if red.is_plane else red.u * red.z
-    return -red.r_eff / math.sqrt(uz) * _capacitance_sums(red.varpi, tol)[0]
 
 
 def f_dvd_total(red: ReducedGeometry, tol: float = 1e-12) -> float:

@@ -78,7 +78,8 @@ def f1_ded(red: ReducedGeometry) -> float:
     y = 1e12, where the dipole term is 9.4e-38).
     Raises :class:`ConvergenceError` where the closed form overflows: for
     two spheres at y > 6.9e76, and at small u, where (2y + alpha)^2 (y^2 - 1)
-    leaves the double range (below u = 1.3e-154 at y = 2).
+    or N (N + sqrt(alpha z)) leaves the double range (below u = 1.8e-154 at
+    y = 2).
     """
     y = red.y
     f1sc = y / (4.0 * (y * y - 1.0))
@@ -99,7 +100,7 @@ def f1_ded(red: ReducedGeometry) -> float:
             # N^2 - a z = (2y + a)^2 (y^2 - 1)
             one_minus = (2.0 * y + a) ** 2 * (y * y - 1.0) / (nn * (nn + saz))
             acc += a ** -1.5 * math.log((1.0 + saz / nn) / one_minus)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # one_minus is 0 where nn (nn + saz) overflows
         acc = math.nan
     f1 = f1sc + term_log + acc / (12.0 * math.sqrt(z))
     if math.isnan(f1):  # an overflow to inf turns into nan on the way
@@ -179,29 +180,47 @@ def _row_counts(red: ReducedGeometry):
                            f"{red.y - 1.0:.3g}, more than {_MAX_ROWS}")
 
 
-def _checkpoints(red: ReducedGeometry, z):
-    """Schur recursion of det K over the rows n, vectorised over m and z.
+def _checkpoints(reds, z):
+    """Schur recursion of det K over the rows n, vectorised over the points, z and m.
 
-    Yields, at N = N0, 1.5 N0, ... rows (N0 ~ 20/varpi), the closed
-    truncation's (N, log_det, size): log_det[k] = sum_m (2 - delta_m0)
-    log det(1 - z[k] M_m), and size the largest such sum of the steps'
-    absolute values.  Raises :class:`ConvergenceError` past ``_MAX_ROWS``.
+    ``reds`` are points of one y, so they share varpi and the truncations.
+    The state's axes are (point, z, m); each point has its own mu_i,
+    pivots and closures.  Yields, at N = N0, 1.5 N0, ... rows
+    (N0 ~ 20/varpi), the closed truncation's (N, log_det, size) for the
+    points still in the batch: log_det[p, k] = sum_m (2 - delta_m0)
+    log det(1 - z[k] M_m) of point p, and size[p] the largest over k of
+    such sums of the steps' absolute values.  Sending the indices of the
+    points to keep, among those yielded, drops the others from the later
+    truncations.
+    Raises :class:`ConvergenceError` past ``_MAX_ROWS``.
     """
-    mus = _sphere_mus(red)
-    ch, sh = np.cosh(mus), np.sinh(mus)
-    z = np.asarray(z).reshape(-1, 1)
-    # per (z, m): G = D - diag(a1, a2) of the last row, det D - a1 a2, the
-    # sum of the steps and of their absolute values; per m the pivots a1, a2
-    state = np.zeros((7, z.shape[0], 0), dtype=complex)
-    pivots = np.ones((2, 0))
+    mus = np.array([_sphere_mus(red) for red in reds])
+    z = np.asarray(z).reshape(1, -1, 1)
+    # per (point, z, m): G = D - diag(a1, a2) of the last row, det D - a1 a2,
+    # the sum of the steps and of their absolute values; per (point, m)
+    # the pivots a1, a2
+    state = np.zeros((7, len(reds), z.shape[1], 0), dtype=complex)
+    pivots = np.ones((2, len(reds), 1, 0))
     n, e_p = 0, 0.0
 
+    def spheres():
+        """cosh mu_i, sinh mu_i and sinh(mu_i)/2 of each sphere, shaped (point, 1, 1);
+        floats for one point, which spares every row the indexing."""
+        ch, sh = np.cosh(mus), np.sinh(mus)
+        cols = [(ch[:, i], sh[:, i], 0.5 * sh[:, i]) for i in (0, 1)]
+        if len(mus) == 1:
+            return [[float(v[0]) for v in col] for col in cols]
+        return [[v.reshape(-1, 1, 1) for v in col] for col in cols]
+
+    sph = spheres()
+
     def row(n, c, e, add, prev, a1, a2):
+        (ch1, sh1, hs1), (ch2, sh2, hs2) = sph
         g11, g12, g21, g22, dl, acc, size = prev
-        al1 = (n + 0.5) * ch[0] + 0.5 * sh[0] + add[0]
-        al2 = (n + 0.5) * ch[1] + 0.5 * sh[1] + add[1]
-        be1 = (al1 - sh[0]) * e
-        be2 = (al2 - sh[1]) * e
+        al1 = (n + 0.5) * ch1 + hs1 + add[0]
+        al2 = (n + 0.5) * ch2 + hs2 + add[1]
+        be1 = (al1 - sh1) * e
+        be2 = (al2 - sh2) * e
         na1 = al1 - c / a1
         na2 = al2 - c / a2
         # D^{-1} - diag(1/a1, 1/a2) of the previous row, without cancellation
@@ -225,46 +244,77 @@ def _checkpoints(red: ReducedGeometry, z):
         return (np.stack([n11, n12, n21, n22, ndl, acc + term, size.real + np.abs(term)]),
                 np.stack([na1, na2]))
 
-    for n_end in _row_counts(red):
+    for n_end in _row_counts(reds[0]):
         # rows n..n_end-1 bring in the azimuthal indices m = n..n_end-1
-        state = np.concatenate([state, np.zeros(state.shape[:2] + (n_end - n,))], axis=2)
-        pivots = np.concatenate([pivots, np.ones((2, n_end - n))], axis=1)
+        state = np.concatenate([state, np.zeros(state.shape[:3] + (n_end - n,))], axis=3)
+        pivots = np.concatenate([pivots, np.ones(pivots.shape[:3] + (n_end - n,))], axis=3)
         for n in range(n, n_end):
             mm = np.arange(n + 1.0)
             c = (n - mm) * (n + mm) / 4.0  # J[n, n-1] J[n-1, n]; 0 on the first row of each m
-            e = math.exp(-(n + 0.5) * red.varpi)
-            prev, piv = state[:, :, :n + 1], pivots[:, :n + 1]
+            e = math.exp(-(n + 0.5) * reds[0].varpi)
+            prev, piv = state[..., :n + 1], pivots[..., :n + 1]
             new = row(n, c, e, (0.0, 0.0), prev, *piv)
             if n == n_end - 1:
-                closed = row(n, c, e, [-0.5 * (n + mm + 1.0) * _closure(mu, n) for mu in mus],
-                             prev, *piv)[0]
+                # the closures of both spheres of every point, shaped (sphere, point, 1, m)
+                ratios = np.array([[_closure(mu, n) for mu in pair] for pair in mus])
+                add = -0.5 * (n + mm + 1.0) * ratios.swapaxes(0, 1)[:, :, None]
+                closed = row(n, c, e, add, prev, *piv)[0]
                 w = np.where(mm == 0, 1.0, 2.0)
-                yield n_end, (closed[5] * w).sum(axis=-1), float((closed[6].real * w).sum(-1).max())
-            state[:, :, :n + 1], pivots[:, :n + 1] = new
+                keep = yield (n_end, (closed[5] * w).sum(axis=-1),
+                              (closed[6].real * w).sum(-1).max(axis=-1))
+                if keep is not None and len(keep) < len(mus):
+                    state, pivots, mus = state[:, keep], pivots[:, keep], mus[keep]
+                    new, sph = [a[:, keep] for a in new], spheres()
+            state[..., :n + 1], pivots[..., :n + 1] = new
             e_p = e
         n = n_end
 
 
-def _converged(red: ReducedGeometry, z, tol: float) -> tuple:
-    """First truncation whose log_det moved by at most tol times its size from the previous.
+def _converged(reds, z, tol: float) -> list:
+    """Per point of one y, the first truncation whose log_det moved by at most
+    tol times its size from the previous.
 
-    Returns (log_det, change, roundoff): each log_det's change from the
-    previous truncation, and eps times the rows times the size summed.
+    Returns one entry per point of ``reds``: (log_det, change, roundoff),
+    each log_det's change from the previous truncation and eps times the
+    rows times the size, or the :class:`ConvergenceError` that point met.
+    A converged or failed point leaves the recursion.
     """
-    rows = _row_counts(red)
-    next(rows), next(rows)  # two truncations at least: raise before any row if they cannot fit
-    prev = None
+    out = [None] * len(reds)
+    rows = _row_counts(reds[0])
+    try:
+        next(rows), next(rows)  # two truncations at least: fail before any row if they cannot fit
+    except ConvergenceError as exc:
+        return [ConvergenceError(*exc.args) for _ in reds]
+    live = list(range(len(reds)))  # the points still in the recursion
+    steps, keep, prev = _checkpoints(reds, z), None, None
     # near y = 1e308 the rows overflow, which shows as a non-finite change
     with np.errstate(over="ignore", invalid="ignore"):
-        for n_rows, log_det, size in _checkpoints(red, z):
-            roundoff = _EPS * n_rows * size
-            if prev is not None:
-                change = np.abs(log_det - prev)
-                if not np.isfinite(change).all():
-                    raise ConvergenceError(f"ded: the determinant overflowed at y = {red.y:.3g}")
-                if change.max() <= tol * np.abs(log_det).max() + roundoff:
-                    return log_det, change, roundoff
-            prev = log_det
+        try:
+            while live:
+                n_rows, log_det, size = steps.send(keep)
+                roundoff = _EPS * n_rows * size
+                if prev is not None:
+                    for k, p in enumerate(live):
+                        change = np.abs(log_det[k] - prev[k])
+                        if not np.isfinite(change).all():
+                            out[p] = ConvergenceError(
+                                f"ded: the determinant overflowed at y = {reds[p].y:.3g}")
+                        elif change.max() <= tol * np.abs(log_det[k]).max() + roundoff[k]:
+                            out[p] = (log_det[k], change, roundoff[k])
+                keep = [k for k, p in enumerate(live) if out[p] is None]
+                live, prev = [live[k] for k in keep], log_det[keep]
+        except ConvergenceError as exc:  # past the row cap
+            for p in live:
+                out[p] = ConvergenceError(*exc.args)
+    steps.close()
+    return out
+
+
+def _unwrap(res):
+    """One point's entry of :func:`_converged` or :func:`f_ded_totals`; raises its error."""
+    if isinstance(res, ConvergenceError):
+        raise res
+    return res
 
 
 def _orders(red: ReducedGeometry) -> tuple:
@@ -279,7 +329,7 @@ def _orders(red: ReducedGeometry) -> tuple:
     rho = 0.5 * math.exp(red.varpi)
     for _ in range(2):
         half = rho * np.exp(2j * math.pi * np.arange(_NZ // 2 + 1) / _NZ)
-        log_det, change, roundoff = _converged(red, half, 1e-13)
+        log_det, change, roundoff = _unwrap(_converged([red], half, 1e-13)[0])
         # f(conj z) = conj f(z)
         f = -0.5 * np.concatenate([log_det, np.conj(log_det[_NZ // 2 - 1:0:-1])])
         with np.errstate(over="ignore", under="ignore"):
@@ -353,11 +403,33 @@ def f_ded_total(
         The error adds the last truncation's change, a roundoff bound and
         the difference of :func:`f1_ded` from the determinant's own trace.
     """
+    return _unwrap(f_ded_totals([red], tol)[0])
+
+
+def f_ded_totals(reds, tol: float = 1e-4) -> list:
+    """:func:`f_ded_total` at points of one y, from one recursion.
+
+    Returns one entry per point of ``reds``: its :class:`ValueWithError`,
+    bit-identical to the point's own :func:`f_ded_total`, or the
+    :class:`ConvergenceError` it would raise.  A failed point leaves the
+    others' values unchanged.
+    """
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tolerance must lie in (0, 1), got {tol}")
-    f1 = f1_ded(red)
-    log_det, change, roundoff = _converged(red, [1.0, 1j * _STEP], tol)
-    trace = -log_det[1].imag / _STEP
-    value = f1 - 0.5 * (log_det[0].real + trace)
-    error = 0.5 * (change[0] + change[1] / _STEP + roundoff) + abs(f1 - 0.5 * trace)
-    return ValueWithError(float(value), float(error))
+    out, f1 = [None] * len(reds), {}
+    for i, red in enumerate(reds):
+        try:
+            f1[i] = f1_ded(red)
+        except ConvergenceError as exc:
+            out[i] = exc
+    results = _converged([reds[i] for i in f1], [1.0, 1j * _STEP], tol) if f1 else ()
+    for i, res in zip(f1, results):
+        if isinstance(res, ConvergenceError):
+            out[i] = res
+            continue
+        log_det, change, roundoff = res
+        trace = -log_det[1].imag / _STEP
+        value = f1[i] - 0.5 * (log_det[0].real + trace)
+        error = 0.5 * (change[0] + change[1] / _STEP + roundoff) + abs(f1[i] - 0.5 * trace)
+        out[i] = ValueWithError(float(value), float(error))
+    return out

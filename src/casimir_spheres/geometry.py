@@ -21,7 +21,6 @@ __all__ = [
     "ReducedGeometry",
     "reduce",
     "from_invariants",
-    "to_sphere_geometry",
     "free_energy_si",
 ]
 
@@ -214,26 +213,6 @@ def from_invariants(y: float, u: float) -> ReducedGeometry:
         y=y, u=u, z=2.0 * (y - 1.0) + 1.0 / u, varpi=_arcosh(y),
         r_eff=1.0, alpha1=alpha1, alpha2=alpha2,
     )
-
-
-def to_sphere_geometry(red: ReducedGeometry) -> SphereGeometry:
-    """Materialize a physical configuration with the stored r_eff scale.
-
-    Inverse of :func:`reduce` up to rounding; used for round-trip
-    consistency checks.
-    """
-    if red.is_plane:
-        return SphereGeometry(L=(red.y - 1.0) * red.r_eff, R1=red.r_eff, R2=PLANE)
-    rsum = red.r_eff / red.u
-    # R1, R2 are roots of R^2 - rsum R + r_eff*rsum = 0; recover the
-    # smaller one from the product to avoid cancellation at small u
-    disc = math.sqrt(max(rsum * rsum - 4.0 * red.r_eff * rsum, 0.0))
-    big = 0.5 * (rsum + disc)
-    small = red.r_eff * rsum / big
-    R1, R2 = (big, small) if red.alpha1 >= 1.0 else (small, big)
-    # positive root of 1 + x + (u/2) x^2 = y  for x = L/r_eff
-    x = 2.0 * (red.y - 1.0) / (1.0 + math.sqrt(1.0 + 2.0 * red.u * (red.y - 1.0)))
-    return SphereGeometry(L=x * red.r_eff, R1=R1, R2=R2)
 
 
 def free_energy_si(f: float, T: float) -> tuple[float, float, float]:

@@ -20,8 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .drude import f1_dvd, f_dvd_total
-from .electrolyte import ValueWithError, f1_ded, f_ded_total
+from .electrolyte import ValueWithError, f1_ded, f_ded_total, f_ded_totals
 from .errors import ConvergenceError, DomainError
+from .geometry import from_invariants
 from .scalar import f_sc_roundtrip, f_sc_total
 
 __all__ = ["Model", "MODELS", "APPROX_MODELS", "get_model"]
@@ -36,6 +37,9 @@ class Model:
     where they are positive and raise :class:`ConvergenceError` elsewhere:
     there the terms have cancelled (very large y) and left no digit, so
     no quantity read through them, phi = f/f1 above all, has a value.
+    ``raw_totals(reds, tol)``, where set, sums the points of one y at
+    once and returns each one's ``ValueWithError`` or
+    :class:`ConvergenceError`; :meth:`totals` falls back to a loop.
     ``kernel(chi)`` is the closed form of the zero-frequency TM reflection
     kernel and ``amplitude(ell)``, ell >= 0, its multipole amplitude A_ell:
     the kernel is sum_ell A_ell chi^(2 ell) / (2 ell)!.  A plane reflects
@@ -50,13 +54,24 @@ class Model:
     amplitude: Callable[[int], float]
     plane_sign: float = 1.0
     approx: tuple | None = None
+    raw_totals: Callable[..., list] | None = None
 
     def total(self, red, **kwargs) -> ValueWithError:
         """``raw_total(red, **kwargs)``, checked; ``tol`` keeps its default."""
-        res = self.raw_total(red, **kwargs)
-        if not res.value > 0.0:
-            raise ConvergenceError(f"f = {res.value:.6g} at y = {red.y:.6g} is not positive")
-        return res
+        return _checked(red, self.raw_total(red, **kwargs))
+
+    def totals(self, y: float, us, **kwargs) -> list:
+        """:meth:`total` at each u of ``us`` at this y, one entry per u.
+
+        An entry is the checked ``ValueWithError`` or that point's own
+        :class:`ConvergenceError`; a :class:`DomainError` (a bad u or
+        ``tol``) is raised.  For ded one recursion serves every u.
+        """
+        reds = [from_invariants(y, u) for u in us]
+        if self.raw_totals is None:
+            return [_attempt(self.total, red, **kwargs) for red in reds]
+        return [res if isinstance(res, ConvergenceError) else _attempt(_checked, red, res)
+                for red, res in zip(reds, self.raw_totals(reds, **kwargs))]
 
     def f1(self, red) -> float:
         """``raw_f1(red)``, checked."""
@@ -65,6 +80,21 @@ class Model:
             raise ConvergenceError(f"f1 = {f1:.6g} at y = {red.y:.6g} is not positive, "
                                    "so phi = f/f1 is meaningless")
         return f1
+
+
+def _attempt(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the :class:`ConvergenceError` it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ConvergenceError as exc:
+        return exc
+
+
+def _checked(red, res: ValueWithError) -> ValueWithError:
+    """``res``, the total at ``red``, if positive; else :class:`ConvergenceError`."""
+    if not res.value > 0.0:
+        raise ConvergenceError(f"f = {res.value:.6g} at y = {red.y:.6g} is not positive")
+    return res
 
 
 def _series_total(fn):
@@ -104,7 +134,8 @@ MODELS = {
     # the kernel of this model is negative
     "ded": Model(f_ded_total, f1_ded,
                  lambda chi: -_ded_bracket(chi), lambda ell: -ell / (ell + 1.0),
-                 plane_sign=-1.0, approx=((0.004618, 0.09639), (0.004415, 0.08397))),
+                 plane_sign=-1.0, approx=((0.004618, 0.09639), (0.004415, 0.08397)),
+                 raw_totals=f_ded_totals),
 }
 
 APPROX_MODELS = tuple(name for name, m in MODELS.items() if m.approx is not None)

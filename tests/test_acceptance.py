@@ -16,7 +16,9 @@ import pytest
 from casimir_spheres.cli import main as cli_main
 from casimir_spheres.drude import f1_dvd, f_dvd_total
 from casimir_spheres.electrolyte import f1_ded, f_ded_roundtrip, f_ded_total
+from casimir_spheres.errors import ConvergenceError
 from casimir_spheres.geometry import from_invariants
+from casimir_spheres.models import get_model
 from casimir_spheres.rational import (DED_PARAMS, DVD_PARAMS, phi_rm, phi_u,
                                       refit)
 from casimir_spheres.scalar import ZETA3, f_sc_roundtrip, f_sc_total
@@ -40,24 +42,31 @@ GRID_Y = 1.0 + np.logspace(-2, 1, 100)
 GRID_U = (0.0, 0.016, 0.04, 0.1, 0.25)
 
 
-def _phi_column(model, u, ys):
-    return np.array([phi_u(from_invariants(float(y), u), model) for y in ys])
+def _value(res):
+    """A ``Model.totals`` entry's value; raises the entry's error."""
+    if isinstance(res, ConvergenceError):
+        raise res
+    return res.value
+
+
+def _tables(model, ys, us):
+    """{u: (f, phi)} over ``ys``, from one ``Model.totals`` call per y: the
+    ded engine runs one recursion for every u of a y.  phi = f/f1 is
+    formed as ``phi_u`` forms it."""
+    m = get_model(model)
+    f = np.array([[_value(res) for res in m.totals(float(y), us)] for y in ys])
+    f1 = np.array([[m.f1(from_invariants(float(y), u)) for u in us] for y in ys])
+    return {u: (f[:, k], f[:, k] / f1[:, k]) for k, u in enumerate(us)}
 
 
 @pytest.fixture(scope="session")
 def ded_phi_table():
-    table = {}
-    for u in GRID_U:
-        table[u] = _phi_column("ded", u, GRID_Y)
-    return table
+    return {u: phi for u, (_, phi) in _tables("ded", GRID_Y, GRID_U).items()}
 
 
 @pytest.fixture(scope="session")
 def dvd_phi_table():
-    table = {}
-    for u in GRID_U:
-        table[u] = _phi_column("dvd", u, GRID_Y)
-    return table
+    return {u: phi for u, (_, phi) in _tables("dvd", GRID_Y, GRID_U).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +274,8 @@ GRID8_Y = 1.0 + np.logspace(-2, 2, 13)
 def wide_tables():
     out = {}
     for model in ("dvd", "ded"):
-        for u in (0.0, 0.1, 0.25):
-            out[(model, u, "f")] = np.array([
-                f_dvd_total(from_invariants(float(y), u)) if model == "dvd"
-                else f_ded_total(from_invariants(float(y), u)).value
-                for y in GRID8_Y])
-            f1 = np.array([
-                f1_dvd(from_invariants(float(y), u)) if model == "dvd"
-                else f1_ded(from_invariants(float(y), u)) for y in GRID8_Y])
-            out[(model, u, "phi")] = out[(model, u, "f")] / f1
+        for u, (f, phi) in _tables(model, GRID8_Y, (0.0, 0.1, 0.25)).items():
+            out[(model, u, "f")], out[(model, u, "phi")] = f, phi
     return out
 
 
@@ -313,6 +315,20 @@ def test_criterion_9_band_property(wide_tables):
         f"DvD in [{dvd_ratio.min():.4f}, {dvd_ratio.max():.4f}], "
         f"ded in [{ded_ratio.min():.4f}, {ded_ratio.max():.4f}], "
         f"endpoints {end_dvd:+.2%}/{end_ded:+.2%}")
+
+
+def test_phi_tables_are_phi_u(ded_phi_table, dvd_phi_table, wide_tables):
+    # filling the tables by y leaves every entry bit-identical to phi_u's
+    for k in (0, 41, 99):
+        for u in (0.0, 0.04, 0.25):
+            red = from_invariants(float(GRID_Y[k]), u)
+            assert ded_phi_table[u][k] == phi_u(red, "ded")
+            assert dvd_phi_table[u][k] == phi_u(red, "dvd")
+    red = from_invariants(float(GRID8_Y[5]), 0.1)
+    assert wide_tables[("dvd", 0.1, "f")][5] == f_dvd_total(red)
+    assert wide_tables[("ded", 0.1, "f")][5] == f_ded_total(red).value
+    for model in ("dvd", "ded"):
+        assert wide_tables[(model, 0.1, "phi")][5] == phi_u(red, model)
 
 
 # ---------------------------------------------------------------------------

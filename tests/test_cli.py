@@ -206,7 +206,7 @@ def test_curve_row_count_two_point_grid(tmp_path, capsys):
 
 
 def test_curve_evaluates_each_total_once_on_calling_thread(monkeypatch, capsys):
-    calls = []
+    calls, batches = [], []
 
     def counted(name):
         def total(red, tol):
@@ -214,8 +214,16 @@ def test_curve_evaluates_each_total_once_on_calling_thread(monkeypatch, capsys):
             return ValueWithError(1.0, 0.0)
         return total
 
+    def counted_batch(name):
+        def totals(reds, tol):
+            batches.append((name, reds[0].y, [red.u for red in reds]))
+            return [counted(name)(red, tol) for red in reds]
+        return totals
+
     for name, model in MODELS.items():
-        monkeypatch.setitem(MODELS, name, dataclasses.replace(model, raw_total=counted(name)))
+        monkeypatch.setitem(MODELS, name, dataclasses.replace(
+            model, raw_total=counted(name),
+            raw_totals=counted_batch(name) if model.raw_totals else None))
     assert main(["curve", "--model", "all", "--quantity", "ratio_u_over_quarter",
                  "--u", "0,0.1", "--ymin", "1", "--ymax", "4", "--points", "3",
                  "--out", "-"]) == 0
@@ -225,6 +233,22 @@ def test_curve_evaluates_each_total_once_on_calling_thread(monkeypatch, capsys):
     assert len(keys) == len(set(keys)) == 27
     assert {u for *_, u in keys} == {0.0, 0.1, 0.25}
     assert {thread for thread, _ in calls} == {threading.current_thread()}
+    # ded sums the three u of each y in one batch
+    assert sorted(batches) == [("ded", y, [0.0, 0.1, 0.25]) for y in (2.0, 3.0, 5.0)]
+
+
+@pytest.mark.parametrize("quantity", ["f1", "f_approx"])
+def test_curve_of_f1_or_f_approx_sums_no_total(monkeypatch, capsys, quantity):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a total was summed")
+
+    for name, model in MODELS.items():
+        monkeypatch.setitem(MODELS, name, dataclasses.replace(
+            model, raw_total=unexpected, raw_totals=model.raw_totals and unexpected))
+    assert main(["curve", "--model", "ded", "--quantity", quantity, "--u", "0,0.1",
+                 "--ymin", "1", "--ymax", "4", "--points", "3", "--out", "-"]) == 0
+    rows = capsys.readouterr().out.splitlines()[4:]
+    assert len(rows) == 6 and not any("nan" in row for row in rows)
 
 
 def test_curve_rejects_non_finite_grid(capsys):

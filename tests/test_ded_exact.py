@@ -95,11 +95,11 @@ def _record():
     rows = []
     for dy, u in POINTS:
         red = from_invariants(1.0 + dy, u)
-        steps = electrolyte._checkpoints(red, [1.0, 1j * electrolyte._STEP])
+        steps = electrolyte._checkpoints([red], [1.0, 1j * electrolyte._STEP])
         trunc = [next(steps) for _ in range(3)]
-        f = [-0.5 * log_det[0].real for _, log_det, _ in trunc]
+        f = [-0.5 * log_det[0, 0].real for _, log_det, _ in trunc]
         rows.append({"y_minus_1": dy, "u": u, "rows": trunc[2][0], "f": f[2],
-                     "f1": -0.5 * trunc[2][1][1].imag / electrolyte._STEP,
+                     "f1": -0.5 * trunc[2][1][0, 1].imag / electrolyte._STEP,
                      "change": max(abs(f[1] - f[0]), abs(f[2] - f[1])) / f[2]})
     DATA.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
     return rows
@@ -157,7 +157,7 @@ def test_tiny_u_fast_and_converged():
     # the closure carries the rows of the large sphere, whose mu is 1.7e-6
     red = from_invariants(2.0, 1e-6)
     t0 = time.perf_counter()
-    log_det, change, _ = electrolyte._converged(red, [1.0], 1e-4)
+    log_det, change, _ = electrolyte._converged([red], [1.0], 1e-4)[0]
     got = f_ded_total(red)
     assert time.perf_counter() - t0 < 1.0
     assert change[0] <= 1e-12 * abs(log_det[0])

@@ -4,8 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from casimir_spheres.drude import (capacitance_coeffs, f1_dvd, f_dvd_dipole,
-                                   f_dvd_total, mutual_capacitance_maxwell)
+from casimir_spheres.drude import capacitance_coeffs, f1_dvd, f_dvd_dipole, f_dvd_total
 from casimir_spheres.electrolyte import f_ded_total
 from casimir_spheres.errors import ConvergenceError
 from casimir_spheres.geometry import PLANE, SphereGeometry, from_invariants, reduce
@@ -55,24 +54,27 @@ def test_capacitance_plane_limit():
 
 
 def test_mutual_capacitance_identity():
+    # Maxwell's series: C12 = -(R1 R2 / center distance) sum_{m>=1} sinh(varpi)/sinh(m varpi)
     geom = SphereGeometry(L=0.7, R1=1.3, R2=2.1)
     red = reduce(geom)
-    cap = capacitance_coeffs(red)
-    c12_len = mutual_capacitance_maxwell(red)
-    assert c12_len == pytest.approx(math.sqrt(geom.R1 * geom.R2) * cap.c12, rel=1e-12)
+    maxwell = sum(math.sinh(red.varpi) / math.sinh(m * red.varpi) for m in range(1, 200))
+    c12_len = math.sqrt(geom.R1 * geom.R2) * capacitance_coeffs(red).c12
+    assert c12_len == pytest.approx(-geom.R1 * geom.R2 / geom.center_distance * maxwell,
+                                    rel=1e-12)
 
 
 def test_mutual_capacitance_far_limit():
     geom = SphereGeometry(L=200.0, R1=1.0, R2=2.0)
     red = reduce(geom)
     expect = -geom.R1 * geom.R2 / geom.center_distance
-    assert mutual_capacitance_maxwell(red) == pytest.approx(expect, rel=1e-4)
+    c12_len = math.sqrt(geom.R1 * geom.R2) * capacitance_coeffs(red).c12
+    assert c12_len == pytest.approx(expect, rel=1e-4)
 
 
 def test_mutual_capacitance_tolerance_stability():
     red = from_invariants(2.0, 0.25)
-    a = mutual_capacitance_maxwell(red, tol=1e-12)
-    b = mutual_capacitance_maxwell(red, tol=1e-15)
+    a = capacitance_coeffs(red, tol=1e-12).c12
+    b = capacitance_coeffs(red, tol=1e-15).c12
     assert a == pytest.approx(b, rel=1e-11)
 
 

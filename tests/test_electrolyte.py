@@ -9,6 +9,7 @@ from casimir_spheres.electrolyte import (QuadratureSettings, f1_ded, f_ded_dipol
                                          f_ded_roundtrip, f_ded_total)
 from casimir_spheres.errors import ConvergenceError, DomainError
 from casimir_spheres.geometry import from_invariants
+from casimir_spheres.models import get_model
 from test_ded_exact import multipole_orders, neumann
 
 
@@ -121,12 +122,13 @@ def test_large_y_roundtrip_prefactor_does_not_overflow():
 
 
 def test_small_u_f1_overflow_raises_typed_error():
-    # (2y + alpha)^2 raises OverflowError at u = 1e-300; at 1e-154 it turns into nan
-    for u in (1e-154, 1e-300):
+    # (2y + alpha)^2 raises OverflowError at u = 1e-300; at 1e-154 it turns into nan;
+    # at 1.78e-154 only N (N + sqrt(alpha z)) overflows, and the log divided by 0
+    for u in (1.7782794100389226e-154, 1e-154, 1e-300):
         red = from_invariants(2.0, u)
-        with pytest.raises(ConvergenceError, match="u = 1e-"):
+        with pytest.raises(ConvergenceError, match=f"u = {u:.3g}"):
             f1_ded(red)
-        with pytest.raises(ConvergenceError, match="u = 1e-"):
+        with pytest.raises(ConvergenceError, match=f"u = {u:.3g}"):
             f_ded_total(red)
 
 
@@ -169,6 +171,75 @@ def test_total_just_above_the_row_cap_raises_at_once(recursion_starts, ym1):
     assert n0 <= electrolyte._MAX_ROWS < math.ceil(1.5 * n0)
     with pytest.raises(ConvergenceError, match="bispherical rows"):
         f_ded_total(red)
+    assert recursion_starts == []
+
+
+# ---------------------------------------------------------------------------
+# one recursion for every u at one y
+
+US = (0.0, 0.016, 0.04, 0.1, 0.25)
+
+
+@pytest.fixture
+def checkpoints_seen(monkeypatch):
+    """(rows, points in the batch) of each truncation the recursion yields."""
+    seen, real = [], electrolyte._checkpoints
+
+    def spy(reds, z):
+        steps, keep = real(reds, z), None
+        while True:
+            n_rows, log_det, size = steps.send(keep)
+            seen.append((n_rows, len(log_det)))
+            keep = yield n_rows, log_det, size
+
+    monkeypatch.setattr(electrolyte, "_checkpoints", spy)
+    return seen
+
+
+@pytest.mark.parametrize("ym1", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
+def test_totals_equal_one_point_totals(ym1, checkpoints_seen):
+    y = 1.0 + ym1
+    got = get_model("ded").totals(y, US)
+    n0 = next(electrolyte._row_counts(from_invariants(y, 0.1)))
+    assert checkpoints_seen == [(n0, 5), (math.ceil(1.5 * n0), 5)]  # one recursion
+    # value and error bit for bit
+    assert got == [f_ded_total(from_invariants(y, u)) for u in US]
+
+
+def test_totals_points_stop_at_their_own_truncations(monkeypatch, checkpoints_seen):
+    # From the first truncation, 8 rows at y = 2 with a coarse schedule, to
+    # the second, 12 rows, log det moves by 6.8e-8 of its size at u = 0 and
+    # by 7.6e-8 at u = 1/4: at tol = 7.2e-8 the plane stops at 12 rows and
+    # the sphere at 18.
+    monkeypatch.setattr(electrolyte, "_ROWS_VARPI", 1.0)
+    tol = 7.2e-8
+    got = get_model("ded").totals(2.0, (0.0, 0.25), tol=tol)
+    assert checkpoints_seen == [(8, 2), (12, 2), (18, 1)]
+    for u, res in zip((0.0, 0.25), got):
+        checkpoints_seen.clear()
+        assert res == f_ded_total(from_invariants(2.0, u), tol=tol)
+        assert checkpoints_seen[-1] == ((12 if u == 0.0 else 18), 1)
+
+
+def test_totals_of_shuffled_or_repeated_u_are_the_same():
+    ded = get_model("ded")
+    by_u = dict(zip(US, ded.totals(1.1, US)))
+    for us in ((0.25, 0.0, 0.1, 0.016, 0.04), (0.1, 0.1, 0.0, 0.25, 0.0)):
+        assert ded.totals(1.1, us) == [by_u[u] for u in us]
+
+
+def test_totals_keep_a_failed_point_to_itself():
+    # f1_ded overflows at u = 1e-300; the other point keeps its own value
+    failed, res = get_model("ded").totals(2.0, (1e-300, 0.1))
+    assert isinstance(failed, ConvergenceError) and "f1_ded" in str(failed)
+    assert res == f_ded_total(from_invariants(2.0, 0.1))
+
+
+def test_totals_past_the_row_cap_fail_at_once(recursion_starts):
+    got = get_model("ded").totals(1.0 + 3e-7, US)
+    assert len(got) == len(US)
+    for res in got:
+        assert isinstance(res, ConvergenceError) and "bispherical rows" in str(res)
     assert recursion_starts == []
 
 

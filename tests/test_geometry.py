@@ -9,11 +9,27 @@ from hypothesis import strategies as st
 from casimir_spheres.electrolyte import f1_ded
 from casimir_spheres.errors import ConvergenceError, DomainError
 from casimir_spheres.geometry import (PLANE, ReducedGeometry, SphereGeometry,
-                                      free_energy_si, from_invariants, reduce,
-                                      to_sphere_geometry)
+                                      free_energy_si, from_invariants, reduce)
 
 radii = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 gaps = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
+
+
+def to_sphere_geometry(red: ReducedGeometry) -> SphereGeometry:
+    """A physical configuration of ``red`` at its r_eff scale: the inverse
+    of :func:`reduce` up to rounding."""
+    if red.is_plane:
+        return SphereGeometry(L=(red.y - 1.0) * red.r_eff, R1=red.r_eff, R2=PLANE)
+    rsum = red.r_eff / red.u
+    # R1, R2 are roots of R^2 - rsum R + r_eff*rsum = 0; recover the
+    # smaller one from the product to avoid cancellation at small u
+    disc = math.sqrt(max(rsum * rsum - 4.0 * red.r_eff * rsum, 0.0))
+    big = 0.5 * (rsum + disc)
+    small = red.r_eff * rsum / big
+    R1, R2 = (big, small) if red.alpha1 >= 1.0 else (small, big)
+    # positive root of 1 + x + (u/2) x^2 = y  for x = L/r_eff
+    x = 2.0 * (red.y - 1.0) / (1.0 + math.sqrt(1.0 + 2.0 * red.u * (red.y - 1.0)))
+    return SphereGeometry(L=x * red.r_eff, R1=R1, R2=R2)
 
 
 def test_equal_spheres_example():

@@ -40,6 +40,7 @@ def _returns_or_raises_typed(fn, *args):
 @given(dy=dys, u=us)
 @example(dy=1.0, u=1e-300)  # f1_ded: (2y + alpha)^2 overflowed
 @example(dy=1.0, u=1e-310)  # alpha1 overflowed, and f1_ded divided by alpha2 = 0
+@example(dy=1.0, u=1.7782794100389226e-154)  # f1_ded: N (N + sqrt(alpha z)) overflowed
 @example(dy=1.7e308, u=0.25)  # capacitance: e^varpi overflowed; dipoles: y**3 overflowed
 @settings(max_examples=300, deadline=None)
 def test_invariant_entry_points_raise_only_typed_errors(dy, u):
