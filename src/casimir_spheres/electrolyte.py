@@ -48,6 +48,10 @@ _NZ = 32
 # complex step of the trace
 _STEP = 2.0**-64
 _EPS = sys.float_info.epsilon
+# rows of k per block of the closures' series; fewer where a block's table
+# would pass this many cells, which bounds its memory near contact
+_CLOSURE_ROWS = 16
+_CLOSURE_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -135,39 +139,74 @@ def _sphere_mus(red: ReducedGeometry) -> tuple:
     return (mu_big, v - mu_big) if red.alpha1 >= red.alpha2 else (v - mu_big, mu_big)
 
 
-def _closure(mu: float, last: int) -> np.ndarray:
-    """Minimal-solution ratios x_{last+1}/x_last of A's recurrence, for m = 0..last.
+def _closures(mus, last: int) -> np.ndarray:
+    """Minimal-solution ratios x_{last+1}/x_last of A's recurrence, for m = 0..last,
+    of each sphere mu of ``mus``; shaped (len(mus), last + 1).
 
     For m >= 1 the integrand expands into positive terms, x_n = B(n-m+1, 2m)
     sum_k T_k, T_0 = 1, T_k/T_{k-1} = delta (m-k)(n-m+k) / (k (2m-k)),
     delta = 1 - r; for m = 0, x_n = sum_j r^j / (n+1+j).  A plane (mu = 0)
     needs no closure: its R is the identity at any truncation.
+    The k-series of all spheres run together, in blocks of k rows of a
+    (k, sphere, n, m) table whose cumulative product and sum along k, seeded
+    with the carried term and total, add in the order of a term-by-term
+    loop.  A sphere stops at the first k where no column m > k has a term
+    above 1e-17 times its total, so its ratios do not depend on the others.
     """
-    m = np.arange(last + 1, dtype=float)
-    if mu == 0.0:
-        return np.zeros_like(m)
-    delta = -math.expm1(-2.0 * mu)
-    r = 1.0 - delta
+    out = np.zeros((len(mus), last + 1))
+    spheres = [i for i, mu in enumerate(mus) if mu != 0.0]
+    # the per-sphere scalars in math, as numpy's expm1 and exp may round differently
+    deltas = [-math.expm1(-2.0 * mus[i]) for i in spheres]
+    m = np.arange(last + 1.0)
     n = np.array([[last], [last + 1.0]])
-    total = np.ones((2, last + 1))
-    term = np.ones((2, last))  # T_0 of m = 1..last
-    for k in range(1, last):
-        mk = m[k + 1:]
-        term = term[:, 1:] * (delta * (mk - k) / k * (n - mk + k) / (2.0 * mk - k))
-        total[:, k + 1:] += term
-        if not (term > 1e-17 * total[:, k + 1:]).any():
-            break
-    lam = (last - m + 1.0) / (last + m + 1.0) * total[1] / total[0]
-    if delta * (last + 1) <= 1.0:
-        # sum_{k>n} r^k/k = -log(delta) - sum_{k<=n} r^k/k, large next to its parts
-        k = np.arange(1.0, last + 2.0)
-        head = np.cumsum(r ** k / k)
-        x0 = [r ** -(nn + 1.0) * (-math.log(delta) - head[nn - 1]) for nn in (last, last + 1)]
-    else:
-        j = np.arange(math.ceil(40.0 / delta) + 1.0)
-        x0 = [float(np.sum(r ** j / (nn + 1.0 + j))) for nn in (last, last + 1)]
-    lam[0] = x0[1] / x0[0]
-    return math.exp(-mu) * lam
+    total = np.ones((len(spheres), 2, last + 1))
+    # per live sphere, T_{k0-1} and its total through k0 - 1 of the columns m = k0 + 1..last
+    term = acc = np.ones((len(spheres), 2, max(last - 1, 0)))
+    live = np.arange(len(spheres))
+    delta = np.array(deltas).reshape(1, -1, 1, 1)
+    k0 = 1
+    with np.errstate(divide="ignore"):  # 2m - k = 0 in cells that are set to 0
+        while live.size and k0 < last:
+            mk = m[k0 + 1:]
+            rows = min(_CLOSURE_ROWS, last - k0,
+                       max(1, _CLOSURE_CELLS // (live.size * 2 * mk.size)))
+            k = np.arange(k0, k0 + rows, dtype=float).reshape(-1, 1, 1, 1)
+            terms, sums = np.empty((2, rows + 1, live.size, 2, mk.size))
+            terms[0] = term
+            np.multiply(delta[:, live] * (mk - k) / k, n - mk + k, out=terms[1:])
+            terms[1:] /= 2.0 * mk - k
+            # column m's terms are 0 from k = m on, but 2m - k = 0 at k = 2m; the
+            # cells with m <= k lie in the first rows - 1 columns
+            np.copyto(terms[1:, ..., :rows - 1], 0.0, where=mk[:rows - 1] <= k)
+            sums[0] = acc
+            # cumulative product and sum along k, row by row: numpy's cumprod and
+            # cumsum along an axis cost 4-15 times as much per cell
+            for i in range(1, rows + 1):
+                terms[i] *= terms[i - 1]
+                np.add(sums[i - 1], terms[i], out=sums[i])
+            going = (terms[1:] > 1e-17 * sums[1:]).any(axis=(2, 3))  # (k, sphere)
+            on = going.all(axis=0)
+            # a sphere stops at its first k without a term above 1e-17 times its total
+            off = np.flatnonzero(~on)
+            total[live[off], :, k0 + 1:] = sums[going.argmin(axis=0)[off] + 1, off]
+            # the columns no later k reaches
+            total[live[on], :, k0 + 1:k0 + rows + 1] = sums[rows, on, :, :rows]
+            term, acc, live = terms[rows, on, :, rows:], sums[rows, on, :, rows:], live[on]
+            k0 += rows
+    lam = (last - m + 1.0) / (last + m + 1.0) * total[:, 1] / total[:, 0]
+    for row, i, d in zip(lam, spheres, deltas):
+        r = 1.0 - d
+        if d * (last + 1) <= 1.0:
+            # sum_{k>n} r^k/k = -log(delta) - sum_{k<=n} r^k/k, large next to its parts
+            k = np.arange(1.0, last + 2.0)
+            head = np.cumsum(r ** k / k)
+            x0 = [r ** -(nn + 1.0) * (-math.log(d) - head[nn - 1]) for nn in (last, last + 1)]
+        else:
+            j = np.arange(math.ceil(40.0 / d) + 1.0)
+            x0 = [float(np.sum(r ** j / (nn + 1.0 + j))) for nn in (last, last + 1)]
+        row[0] = x0[1] / x0[0]
+        out[i] = math.exp(-mus[i]) * row
+    return out
 
 
 def _row_counts(red: ReducedGeometry):
@@ -255,8 +294,10 @@ def _checkpoints(reds, z):
             prev, piv = state[..., :n + 1], pivots[..., :n + 1]
             new = row(n, c, e, (0.0, 0.0), prev, *piv)
             if n == n_end - 1:
-                # the closures of both spheres of every point, shaped (sphere, point, 1, m)
-                ratios = np.array([[_closure(mu, n) for mu in pair] for pair in mus])
+                # the closures of both spheres of every point, shaped (sphere,
+                # point, 1, m), from one closure per distinct sphere of the batch
+                uniq, which = np.unique(mus, return_inverse=True)
+                ratios = _closures(uniq, n)[which.reshape(mus.shape)]
                 add = -0.5 * (n + mm + 1.0) * ratios.swapaxes(0, 1)[:, :, None]
                 closed = row(n, c, e, add, prev, *piv)[0]
                 w = np.where(mm == 0, 1.0, 2.0)

@@ -29,7 +29,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from .errors import DomainError
 from .geometry import ReducedGeometry, from_invariants
-from .electrolyte import _EPS, ValueWithError, _checkpoints, _closure, _sphere_mus
+from .electrolyte import _EPS, ValueWithError, _checkpoints, _closures, _sphere_mus
 from .models import MODELS, get_model
 
 __all__ = [
@@ -168,7 +168,7 @@ def _dense_log_det(red: ReducedGeometry, n_rows: int) -> float:
     matrices as the recursion, none of its arithmetic.
     """
     mus = _sphere_mus(red)
-    closures = [_closure(mu, n_rows - 1) for mu in mus]
+    closures = _closures(mus, n_rows - 1)
     total = 0.0
     for m in range(n_rows):
         n = np.arange(m, n_rows, dtype=float)

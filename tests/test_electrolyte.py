@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -175,9 +176,111 @@ def test_total_just_above_the_row_cap_raises_at_once(recursion_starts, ym1):
 
 
 # ---------------------------------------------------------------------------
-# one recursion for every u at one y
+# closures of the truncated A_i
 
 US = (0.0, 0.016, 0.04, 0.1, 0.25)
+
+
+def _exact_closure(mu, n_rows, m):
+    """exp(-mu) x_{n+1}/x_n at n = ``n_rows``, from exact sums at 40 digits:
+    x_n = sum_{k<m} C(m-1, k) delta^k B(n-m+k+1, 2m-k) for m >= 1 and the Lerch
+    sum Phi(r, 1, n+1) for m = 0, r = exp(-2 mu), delta = 1 - r."""
+    with mpmath.workdps(40):
+        mu = mpmath.mpf(mu)
+        r, delta = mpmath.exp(-2 * mu), -mpmath.expm1(-2 * mu)
+
+        def x(n):
+            if m == 0:
+                return mpmath.lerchphi(r, 1, n + 1)
+            return mpmath.fsum(mpmath.binomial(m - 1, k) * delta**k
+                               * mpmath.beta(n - m + k + 1, 2 * m - k) for k in range(m))
+
+        return mpmath.exp(-mu) * x(n_rows + 1) / x(n_rows)
+
+
+# (mu, N) where the m = 0 closure sums from -log(delta), delta (N + 1) <= 1,
+# and where it sums the series directly
+FROM_LOG = [(1e-4, 50), (0.05, 8), (0.001, 300)]
+DIRECT = [(0.002, 300), (0.5, 40), (3.0, 10)]
+
+
+@pytest.mark.parametrize("mu, n_rows", FROM_LOG + DIRECT)
+def test_closures_match_exact_sums(mu, n_rows):
+    assert (-math.expm1(-2.0 * mu) * (n_rows + 1) <= 1.0) == ((mu, n_rows) in FROM_LOG)
+    got = electrolyte._closures([mu], n_rows)
+    assert got.shape == (1, n_rows + 1)
+    for m in (0, 1, n_rows // 2, n_rows):
+        exact = _exact_closure(mu, n_rows, m)
+        assert abs(got[0, m] / exact - 1) <= 2e-15, (m, got[0, m], exact)
+
+
+def test_closures_of_a_plane_are_zero():
+    assert np.array_equal(electrolyte._closures([0.0], 9), np.zeros((1, 10)))
+
+
+def _batch_mus(ym1):
+    mus = [mu for u in US for mu in electrolyte._sphere_mus(from_invariants(1.0 + ym1, u))]
+    mus = mus + mus[:4]  # the plane (mu = 0), its partner and a sphere pair, again
+    np.random.default_rng(5).shuffle(mus)
+    return mus
+
+
+@pytest.mark.parametrize("ym1", [1e-3, 0.1, 10.0])
+def test_closures_of_a_batch_equal_each_sphere_alone(ym1):
+    mus = _batch_mus(ym1)
+    assert 0.0 in mus and len(set(mus)) < len(mus)
+    last = next(electrolyte._row_counts(from_invariants(1.0 + ym1, 0.1))) - 1
+    got = electrolyte._closures(mus, last)
+    for mu, row in zip(mus, got):
+        assert np.array_equal(row, electrolyte._closures([mu], last)[0])
+
+
+def _term_by_term(mu, last):
+    """The closure of one sphere with its k-series summed one term at a time."""
+    m = np.arange(last + 1.0)
+    delta = -math.expm1(-2.0 * mu)
+    n = np.array([[last], [last + 1.0]])
+    total, term = np.ones((2, last + 1)), np.ones((2, last))
+    for k in range(1, last):
+        mk = m[k + 1:]
+        term = term[:, 1:] * (delta * (mk - k) / k * (n - mk + k) / (2.0 * mk - k))
+        total[:, k + 1:] += term
+        if not (term > 1e-17 * total[:, k + 1:]).any():
+            break
+    return (last - m[1:] + 1.0) / (last + m[1:] + 1.0) * total[1, 1:] / total[0, 1:] * math.exp(-mu)
+
+
+@pytest.mark.parametrize("rows, cells",
+                         [(None, None), (1, 2**40), (2, 2**40), (5, 2**40), (32, 64)])
+def test_closures_equal_the_term_by_term_sums(monkeypatch, rows, cells):
+    # spheres stop inside blocks of 2 and 5 rows of k; 64 cells force one row per block
+    if rows is not None:
+        monkeypatch.setattr(electrolyte, "_CLOSURE_ROWS", rows)
+        monkeypatch.setattr(electrolyte, "_CLOSURE_CELLS", cells)
+    for ym1 in (1e-3, 0.1, 10.0):
+        mus = _batch_mus(ym1)
+        last = next(electrolyte._row_counts(from_invariants(1.0 + ym1, 0.1))) - 1
+        for mu, row in zip(mus, electrolyte._closures(mus, last)):
+            if mu != 0.0:
+                assert np.array_equal(row[1:], _term_by_term(mu, last))
+
+
+def test_checkpoints_close_each_truncation_once(monkeypatch):
+    calls, real = [], electrolyte._closures
+    monkeypatch.setattr(electrolyte, "_closures", lambda mus, last: calls.append((list(mus), last))
+                        or real(mus, last))
+    reds = [from_invariants(1.5, u) for u in (0.25, 0.0, 0.1, 0.1, 0.04)]
+    steps = electrolyte._checkpoints(reds, [1.0])
+    truncations = [next(steps)[0] for _ in range(3)]
+    assert [last + 1 for _, last in calls] == truncations
+    spheres = {mu for red in reds for mu in electrolyte._sphere_mus(red)}
+    # every distinct sphere once: the repeated u = 0.1 and u = 1/4's pair share a closure
+    for mus, _ in calls:
+        assert sorted(mus) == sorted(spheres)
+
+
+# ---------------------------------------------------------------------------
+# one recursion for every u at one y
 
 
 @pytest.fixture
