@@ -39,8 +39,9 @@ __all__ = [
 
 # above this y the intermediate 4 y^4 of the two-sphere f1 closed form overflows
 _F1_YMAX = (sys.float_info.max / 8.0) ** 0.25
-# the first truncation keeps rows with exp(-2 N varpi) > exp(-40); each
-# later one has 1.5 times as many rows, up to _MAX_ROWS
+# the first truncation takes the rows with exp(-2 N varpi) > exp(-40), which
+# the closures make exact to roundoff; the value comes from the second, with
+# 1.5 times as many rows, at most _MAX_ROWS
 _ROWS_VARPI = 20.0
 _MAX_ROWS = 2**15
 # points on the circle of the per-order discrete Fourier transform
@@ -203,37 +204,44 @@ def _closures(mus, last: int) -> np.ndarray:
             x0 = [r ** -(nn + 1.0) * (-math.log(d) - head[nn - 1]) for nn in (last, last + 1)]
         else:
             j = np.arange(math.ceil(40.0 / d) + 1.0)
-            x0 = [float(np.sum(r ** j / (nn + 1.0 + j))) for nn in (last, last + 1)]
+            rj = r ** j
+            x0 = [float(np.sum(rj / (nn + 1.0 + j))) for nn in (last, last + 1)]
         row[0] = x0[1] / x0[0]
         out[i] = math.exp(-mus[i]) * row
     return out
 
 
-def _row_counts(red: ReducedGeometry):
-    """Rows N of the successive truncations; raises :class:`ConvergenceError` past ``_MAX_ROWS``."""
-    n_rows = max(8, math.ceil(_ROWS_VARPI / red.varpi))
-    while n_rows <= _MAX_ROWS:
-        yield n_rows
-        n_rows = math.ceil(1.5 * n_rows)
-    raise ConvergenceError(f"ded: {n_rows} bispherical rows needed at y - 1 = "
-                           f"{red.y - 1.0:.3g}, more than {_MAX_ROWS}")
+def _row_counts(red: ReducedGeometry) -> tuple:
+    """Rows (N0, N1) of the two truncations, N1 = ceil(1.5 N0); raises
+    :class:`ConvergenceError` where N1 passes ``_MAX_ROWS``."""
+    n0 = max(8, math.ceil(_ROWS_VARPI / red.varpi))
+    n1 = math.ceil(1.5 * n0)
+    if n1 > _MAX_ROWS:
+        raise ConvergenceError(f"ded: {n1} bispherical rows needed at y - 1 = "
+                               f"{red.y - 1.0:.3g}, more than {_MAX_ROWS}")
+    return n0, n1
 
 
-def _checkpoints(reds, z):
+def _checkpoints(reds, z, rows):
     """Schur recursion of det K over the rows n, vectorised over the points, z and m.
 
     ``reds`` are points of one y, so they share varpi and the truncations.
     The state's axes are (point, z, m); each point has its own mu_i,
-    pivots and closures.  Yields, at N = N0, 1.5 N0, ... rows
-    (N0 ~ 20/varpi), the closed truncation's (N, log_det, size) for the
-    points still in the batch: log_det[p, k] = sum_m (2 - delta_m0)
-    log det(1 - z[k] M_m) of point p, and size[p] the largest over k of
-    such sums of the steps' absolute values.  Sending the indices of the
-    points to keep, among those yielded, drops the others from the later
-    truncations.
-    Raises :class:`ConvergenceError` past ``_MAX_ROWS``.
+    pivots and closures.  Yields, at each row count N of the increasing
+    ``rows``, the closed truncation's (N, log_det, size):
+    log_det[p, k] = sum_m (2 - delta_m0) log det(1 - z[k] M_m) of point p,
+    and size[p] the largest over k of such sums of the steps' absolute
+    values.
     """
     mus = np.array([_sphere_mus(red) for red in reds])
+    # one closure per distinct sphere of the batch
+    uniq, which = np.unique(mus, return_inverse=True)
+    # cosh mu_i, sinh mu_i and sinh(mu_i)/2 of each sphere, shaped (point, 1, 1);
+    # floats for one point, which spares every row the indexing
+    ch, sh = np.cosh(mus), np.sinh(mus)
+    sph = [(ch[:, i], sh[:, i], 0.5 * sh[:, i]) for i in (0, 1)]
+    sph = ([[float(v[0]) for v in col] for col in sph] if len(reds) == 1
+           else [[v.reshape(-1, 1, 1) for v in col] for col in sph])
     z = np.asarray(z).reshape(1, -1, 1)
     # per (point, z, m): G = D - diag(a1, a2) of the last row, det D - a1 a2,
     # the sum of the steps and of their absolute values; per (point, m)
@@ -241,17 +249,6 @@ def _checkpoints(reds, z):
     state = np.zeros((7, len(reds), z.shape[1], 0), dtype=complex)
     pivots = np.ones((2, len(reds), 1, 0))
     n, e_p = 0, 0.0
-
-    def spheres():
-        """cosh mu_i, sinh mu_i and sinh(mu_i)/2 of each sphere, shaped (point, 1, 1);
-        floats for one point, which spares every row the indexing."""
-        ch, sh = np.cosh(mus), np.sinh(mus)
-        cols = [(ch[:, i], sh[:, i], 0.5 * sh[:, i]) for i in (0, 1)]
-        if len(mus) == 1:
-            return [[float(v[0]) for v in col] for col in cols]
-        return [[v.reshape(-1, 1, 1) for v in col] for col in cols]
-
-    sph = spheres()
 
     def row(n, c, e, add, prev, a1, a2):
         (ch1, sh1, hs1), (ch2, sh2, hs2) = sph
@@ -283,7 +280,7 @@ def _checkpoints(reds, z):
         return (np.stack([n11, n12, n21, n22, ndl, acc + term, size.real + np.abs(term)]),
                 np.stack([na1, na2]))
 
-    for n_end in _row_counts(reds[0]):
+    for n_end in rows:
         # rows n..n_end-1 bring in the azimuthal indices m = n..n_end-1
         state = np.concatenate([state, np.zeros(state.shape[:3] + (n_end - n,))], axis=3)
         pivots = np.concatenate([pivots, np.ones(pivots.shape[:3] + (n_end - n,))], axis=3)
@@ -294,60 +291,48 @@ def _checkpoints(reds, z):
             prev, piv = state[..., :n + 1], pivots[..., :n + 1]
             new = row(n, c, e, (0.0, 0.0), prev, *piv)
             if n == n_end - 1:
-                # the closures of both spheres of every point, shaped (sphere,
-                # point, 1, m), from one closure per distinct sphere of the batch
-                uniq, which = np.unique(mus, return_inverse=True)
+                # the closures of both spheres of every point, shaped (sphere, point, 1, m)
                 ratios = _closures(uniq, n)[which.reshape(mus.shape)]
                 add = -0.5 * (n + mm + 1.0) * ratios.swapaxes(0, 1)[:, :, None]
                 closed = row(n, c, e, add, prev, *piv)[0]
                 w = np.where(mm == 0, 1.0, 2.0)
-                keep = yield (n_end, (closed[5] * w).sum(axis=-1),
-                              (closed[6].real * w).sum(-1).max(axis=-1))
-                if keep is not None and len(keep) < len(mus):
-                    state, pivots, mus = state[:, keep], pivots[:, keep], mus[keep]
-                    new, sph = [a[:, keep] for a in new], spheres()
+                yield (n_end, (closed[5] * w).sum(axis=-1),
+                       (closed[6].real * w).sum(-1).max(axis=-1))
             state[..., :n + 1], pivots[..., :n + 1] = new
             e_p = e
         n = n_end
 
 
 def _converged(reds, z, tol: float) -> list:
-    """Per point of one y, the first truncation whose log_det moved by at most
-    tol times its size from the previous.
+    """Per point of one y, log_det at N1 ~ 1.5 N0 rows, checked against N0 rows.
 
     Returns one entry per point of ``reds``: (log_det, change, roundoff),
-    each log_det's change from the previous truncation and eps times the
-    rows times the size, or the :class:`ConvergenceError` that point met.
-    A converged or failed point leaves the recursion.
+    log_det's change from N0 to N1 rows and eps times N1 times the size,
+    where the change is at most tol times |log_det| plus the roundoff.
+    Elsewhere the entry is the :class:`ConvergenceError` that point met:
+    a change above that bound, a non-finite change (the rows overflowed)
+    or, for every point, N1 past ``_MAX_ROWS``, raised before any row.
     """
-    out = [None] * len(reds)
-    rows = _row_counts(reds[0])
     try:
-        next(rows), next(rows)  # two truncations at least: fail before any row if they cannot fit
+        rows = _row_counts(reds[0])
     except ConvergenceError as exc:
         return [ConvergenceError(*exc.args) for _ in reds]
-    live = list(range(len(reds)))  # the points still in the recursion
-    steps, keep, prev = _checkpoints(reds, z), None, None
+    out = []
     # near y = 1e308 the rows overflow, which shows as a non-finite change
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            while live:
-                n_rows, log_det, size = steps.send(keep)
-                roundoff = _EPS * n_rows * size
-                if prev is not None:
-                    for k, p in enumerate(live):
-                        change = np.abs(log_det[k] - prev[k])
-                        if not np.isfinite(change).all():
-                            out[p] = ConvergenceError(
-                                f"ded: the determinant overflowed at y = {reds[p].y:.3g}")
-                        elif change.max() <= tol * np.abs(log_det[k]).max() + roundoff[k]:
-                            out[p] = (log_det[k], change, roundoff[k])
-                keep = [k for k, p in enumerate(live) if out[p] is None]
-                live, prev = [live[k] for k in keep], log_det[keep]
-        except ConvergenceError as exc:  # past the row cap
-            for p in live:
-                out[p] = ConvergenceError(*exc.args)
-    steps.close()
+        (_, first, _), (n_rows, log_det, size) = _checkpoints(reds, z, rows)
+        roundoff = _EPS * n_rows * size
+        for p, red in enumerate(reds):
+            change = np.abs(log_det[p] - first[p])
+            bound = tol * np.abs(log_det[p]).max() + roundoff[p]
+            if not np.isfinite(change).all():
+                out.append(ConvergenceError(f"ded: the determinant overflowed at y = {red.y:.3g}"))
+            elif change.max() > bound:
+                out.append(ConvergenceError(
+                    f"ded: log det moved by {change.max():.3g} from {rows[0]} to {n_rows} rows at "
+                    f"y = {red.y:.3g}, u = {red.u:.3g}, more than its bound {bound:.3g}"))
+            else:
+                out.append((log_det[p], change, roundoff[p]))
     return out
 
 
@@ -426,8 +411,12 @@ def f_ded_total(
     remainder sum_{r >= 2} f^(r) = -1/2 sum_m (2 - delta_m0)
     [log det(1 - M_m) + tr M_m] of the banded bispherical determinant,
     whose trace comes from a complex step, log det(1 - i h M) = -i h tr M
-    + O(h^2).  The truncation grows by factors of 1.5 from about 20/varpi
-    rows until the determinant moves by at most ``tol`` times its size.
+    + O(h^2).  The value is the truncation of N1 = ceil(1.5 N0) rows,
+    N0 = max(8, ceil(20/varpi)); its change from N0 rows must be at most
+    ``tol`` times |log det| plus a roundoff bound, or it raises
+    :class:`ConvergenceError` naming the change and that bound.  So does a
+    point whose N1 passes 32,768 rows, y - 1 below about 4.2e-7, before
+    any row.
 
     Parameters
     ----------
@@ -441,7 +430,7 @@ def f_ded_total(
     Returns
     -------
     ValueWithError
-        The error adds the last truncation's change, a roundoff bound and
+        The error adds the change from N0 to N1 rows, a roundoff bound and
         the difference of :func:`f1_ded` from the determinant's own trace.
     """
     return _unwrap(f_ded_totals([red], tol)[0])

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .drude import f1_dvd, f_dvd_total
-from .electrolyte import ValueWithError, f1_ded, f_ded_total, f_ded_totals
+from .electrolyte import ValueWithError, f1_ded, f_ded_totals
 from .errors import ConvergenceError, DomainError
 from .geometry import from_invariants
 from .scalar import f_sc_roundtrip, f_sc_total
@@ -32,14 +32,13 @@ __all__ = ["Model", "MODELS", "APPROX_MODELS", "get_model"]
 class Model:
     """One model's entry points and reflection kernel.
 
-    ``raw_total(red, tol) -> ValueWithError`` and ``raw_f1(red)`` are the
-    library functions; :meth:`total` and :meth:`f1` return their values
-    where they are positive and raise :class:`ConvergenceError` elsewhere:
-    there the terms have cancelled (very large y) and left no digit, so
-    no quantity read through them, phi = f/f1 above all, has a value.
-    ``raw_totals(reds, tol)``, where set, sums the points of one y at
-    once and returns each one's ``ValueWithError`` or
-    :class:`ConvergenceError`; :meth:`totals` falls back to a loop.
+    ``raw_totals(reds, tol) -> list`` sums the points of one y and returns
+    each one's ``ValueWithError`` or :class:`ConvergenceError`; ``raw_f1(red)``
+    is the library's closed form.  :meth:`total`, :meth:`totals` and
+    :meth:`f1` return their values where they are positive and raise
+    :class:`ConvergenceError` elsewhere: there the terms have cancelled
+    (very large y) and left no digit, so no quantity read through them,
+    phi = f/f1 above all, has a value.
     ``kernel(chi)`` is the closed form of the zero-frequency TM reflection
     kernel and ``amplitude(ell)``, ell >= 0, its multipole amplitude A_ell:
     the kernel is sum_ell A_ell chi^(2 ell) / (2 ell)!.  A plane reflects
@@ -48,29 +47,28 @@ class Model:
     the model has none.
     """
 
-    raw_total: Callable[..., ValueWithError]
+    raw_totals: Callable[..., list]
     raw_f1: Callable[..., float]
     kernel: Callable[[np.ndarray], np.ndarray]
     amplitude: Callable[[int], float]
     plane_sign: float = 1.0
     approx: tuple | None = None
-    raw_totals: Callable[..., list] | None = None
 
     def total(self, red, **kwargs) -> ValueWithError:
-        """``raw_total(red, **kwargs)``, checked; ``tol`` keeps its default."""
-        return _checked(red, self.raw_total(red, **kwargs))
+        """The first entry of ``raw_totals([red], **kwargs)``, checked; ``tol``
+        keeps its default."""
+        return _checked(red, self.raw_totals([red], **kwargs)[0])
 
     def totals(self, y: float, us, **kwargs) -> list:
-        """:meth:`total` at each u of ``us`` at this y, one entry per u.
+        """:meth:`total` at each u of ``us`` at this y, one entry per u, from
+        one ``raw_totals`` call.
 
         An entry is the checked ``ValueWithError`` or that point's own
         :class:`ConvergenceError`; a :class:`DomainError` (a bad u or
         ``tol``) is raised.  For ded one recursion serves every u.
         """
         reds = [from_invariants(y, u) for u in us]
-        if self.raw_totals is None:
-            return [_attempt(self.total, red, **kwargs) for red in reds]
-        return [res if isinstance(res, ConvergenceError) else _attempt(_checked, red, res)
+        return [_attempt(_checked, red, res)
                 for red, res in zip(reds, self.raw_totals(reds, **kwargs))]
 
     def f1(self, red) -> float:
@@ -90,24 +88,29 @@ def _attempt(fn, *args, **kwargs):
         return exc
 
 
-def _checked(red, res: ValueWithError) -> ValueWithError:
-    """``res``, the total at ``red``, if positive; else :class:`ConvergenceError`."""
+def _checked(red, res) -> ValueWithError:
+    """``res``, the total at ``red``, if positive; raises it if it is a
+    :class:`ConvergenceError`, and one if it is not positive."""
+    if isinstance(res, ConvergenceError):
+        raise res
     if not res.value > 0.0:
         raise ConvergenceError(f"f = {res.value:.6g} at y = {red.y:.6g} is not positive")
     return res
 
 
-def _series_total(fn):
-    """Adapt an exactly summed series to the ``total`` signature (error 0).
+def _series_totals(fn):
+    """Adapt an exactly summed series to the ``raw_totals`` signature (error 0).
 
-    The series are cheap, so they are always summed to 1e-10 or tighter;
-    a ``tol`` outside (0, 1) is rejected first, as ``f_ded_total`` does.
+    The series are cheap, so they are always summed to 1e-10 or tighter,
+    one point at a time; a ``tol`` outside (0, 1) is rejected first, as
+    ``f_ded_totals`` does.
     """
-    def total(red, tol=1e-12):
+    def totals(reds, tol=1e-12):
         if not 0.0 < tol < 1.0:
             raise DomainError(f"tolerance must lie in (0, 1), got {tol}")
-        return ValueWithError(fn(red, min(tol, 1e-10)), 0.0)
-    return total
+        return [_attempt(lambda red: ValueWithError(fn(red, min(tol, 1e-10)), 0.0), red)
+                for red in reds]
+    return totals
 
 
 def _ded_bracket(chi: np.ndarray) -> np.ndarray:
@@ -126,16 +129,15 @@ def _ded_bracket(chi: np.ndarray) -> np.ndarray:
 
 
 MODELS = {
-    "scalar": Model(_series_total(f_sc_total), partial(f_sc_roundtrip, r=1),
+    "scalar": Model(_series_totals(f_sc_total), partial(f_sc_roundtrip, r=1),
                     np.cosh, lambda ell: 1.0),
-    "dvd": Model(_series_total(f_dvd_total), f1_dvd,
+    "dvd": Model(_series_totals(f_dvd_total), f1_dvd,
                  lambda chi: np.cosh(chi) - 1.0, lambda ell: 1.0 if ell else 0.0,
                  approx=((0.011495, 0.19868), (0.011359, 0.16728))),
     # the kernel of this model is negative
-    "ded": Model(f_ded_total, f1_ded,
+    "ded": Model(f_ded_totals, f1_ded,
                  lambda chi: -_ded_bracket(chi), lambda ell: -ell / (ell + 1.0),
-                 plane_sign=-1.0, approx=((0.004618, 0.09639), (0.004415, 0.08397)),
-                 raw_totals=f_ded_totals),
+                 plane_sign=-1.0, approx=((0.004618, 0.09639), (0.004415, 0.08397))),
 }
 
 APPROX_MODELS = tuple(name for name, m in MODELS.items() if m.approx is not None)

@@ -29,7 +29,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from .errors import DomainError
 from .geometry import ReducedGeometry, from_invariants
-from .electrolyte import _EPS, ValueWithError, _checkpoints, _closures, _sphere_mus
+from .electrolyte import _EPS, ValueWithError, _checkpoints, _closures, _row_counts, _sphere_mus
 from .models import MODELS, get_model
 
 __all__ = [
@@ -211,5 +211,5 @@ def banded_determinant_deviations():
     """
     for ym1, u in ((0.05, 0.0), (0.1, 0.04), (0.5, 0.25), (1.0, 0.1), (3.0, 0.016)):
         red = from_invariants(1.0 + ym1, u)
-        n_rows, log_det, _ = next(_checkpoints([red], [1.0]))
+        n_rows, log_det, _ = next(_checkpoints([red], [1.0], _row_counts(red)[:1]))
         yield ym1, u, float(abs(_dense_log_det(red, n_rows) / log_det[0, 0].real - 1.0))

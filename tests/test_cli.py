@@ -209,21 +209,14 @@ def test_curve_evaluates_each_total_once_on_calling_thread(monkeypatch, capsys):
     calls, batches = [], []
 
     def counted(name):
-        def total(red, tol):
-            calls.append((threading.current_thread(), (name, red.y, red.u)))
-            return ValueWithError(1.0, 0.0)
-        return total
-
-    def counted_batch(name):
         def totals(reds, tol):
             batches.append((name, reds[0].y, [red.u for red in reds]))
-            return [counted(name)(red, tol) for red in reds]
+            calls.extend((threading.current_thread(), (name, red.y, red.u)) for red in reds)
+            return [ValueWithError(1.0, 0.0) for _ in reds]
         return totals
 
     for name, model in MODELS.items():
-        monkeypatch.setitem(MODELS, name, dataclasses.replace(
-            model, raw_total=counted(name),
-            raw_totals=counted_batch(name) if model.raw_totals else None))
+        monkeypatch.setitem(MODELS, name, dataclasses.replace(model, raw_totals=counted(name)))
     assert main(["curve", "--model", "all", "--quantity", "ratio_u_over_quarter",
                  "--u", "0,0.1", "--ymin", "1", "--ymax", "4", "--points", "3",
                  "--out", "-"]) == 0
@@ -233,8 +226,9 @@ def test_curve_evaluates_each_total_once_on_calling_thread(monkeypatch, capsys):
     assert len(keys) == len(set(keys)) == 27
     assert {u for *_, u in keys} == {0.0, 0.1, 0.25}
     assert {thread for thread, _ in calls} == {threading.current_thread()}
-    # ded sums the three u of each y in one batch
-    assert sorted(batches) == [("ded", y, [0.0, 0.1, 0.25]) for y in (2.0, 3.0, 5.0)]
+    # every model sums the three u of each y in one batch
+    assert sorted(batches) == [(name, y, [0.0, 0.1, 0.25])
+                               for name in sorted(MODELS) for y in (2.0, 3.0, 5.0)]
 
 
 @pytest.mark.parametrize("quantity", ["f1", "f_approx"])
@@ -243,8 +237,7 @@ def test_curve_of_f1_or_f_approx_sums_no_total(monkeypatch, capsys, quantity):
         raise AssertionError("a total was summed")
 
     for name, model in MODELS.items():
-        monkeypatch.setitem(MODELS, name, dataclasses.replace(
-            model, raw_total=unexpected, raw_totals=model.raw_totals and unexpected))
+        monkeypatch.setitem(MODELS, name, dataclasses.replace(model, raw_totals=unexpected))
     assert main(["curve", "--model", "ded", "--quantity", quantity, "--u", "0,0.1",
                  "--ymin", "1", "--ymax", "4", "--points", "3", "--out", "-"]) == 0
     rows = capsys.readouterr().out.splitlines()[4:]

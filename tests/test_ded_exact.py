@@ -95,8 +95,9 @@ def _record():
     rows = []
     for dy, u in POINTS:
         red = from_invariants(1.0 + dy, u)
-        steps = electrolyte._checkpoints([red], [1.0, 1j * electrolyte._STEP])
-        trunc = [next(steps) for _ in range(3)]
+        n0, n1 = electrolyte._row_counts(red)
+        trunc = list(electrolyte._checkpoints([red], [1.0, 1j * electrolyte._STEP],
+                                              (n0, n1, math.ceil(1.5 * n1))))
         f = [-0.5 * log_det[0, 0].real for _, log_det, _ in trunc]
         rows.append({"y_minus_1": dy, "u": u, "rows": trunc[2][0], "f": f[2],
                      "f1": -0.5 * trunc[2][1][0, 1].imag / electrolyte._STEP,

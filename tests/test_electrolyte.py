@@ -149,11 +149,16 @@ def recursion_starts(monkeypatch):
     return started
 
 
+def _first_rows(red):
+    """N0, from its formula: ``_row_counts`` raises where N1 does not fit."""
+    return max(8, math.ceil(electrolyte._ROWS_VARPI / red.varpi))
+
+
 def test_total_raises_before_any_row_where_the_second_truncation_cannot_fit(
         monkeypatch, recursion_starts):
-    # the stop rule compares two truncations at least
+    # the stop rule compares two truncations
     red = from_invariants(2.0, 0.1)
-    n0 = next(electrolyte._row_counts(red))
+    n0 = _first_rows(red)
     monkeypatch.setattr(electrolyte, "_MAX_ROWS", math.ceil(1.5 * n0) - 1)
     with pytest.raises(ConvergenceError, match="bispherical rows"):
         f_ded_total(red)
@@ -168,7 +173,7 @@ def test_total_just_above_the_row_cap_raises_at_once(recursion_starts, ym1):
     # N0 fits under the cap there and 1.5 N0 does not, so a cap checked only
     # before each truncation would run all N0 rows, over 100 s, and then raise
     red = from_invariants(1.0 + ym1, 0.1)
-    n0 = next(electrolyte._row_counts(red))
+    n0 = _first_rows(red)
     assert n0 <= electrolyte._MAX_ROWS < math.ceil(1.5 * n0)
     with pytest.raises(ConvergenceError, match="bispherical rows"):
         f_ded_total(red)
@@ -229,7 +234,7 @@ def _batch_mus(ym1):
 def test_closures_of_a_batch_equal_each_sphere_alone(ym1):
     mus = _batch_mus(ym1)
     assert 0.0 in mus and len(set(mus)) < len(mus)
-    last = next(electrolyte._row_counts(from_invariants(1.0 + ym1, 0.1))) - 1
+    last = electrolyte._row_counts(from_invariants(1.0 + ym1, 0.1))[0] - 1
     got = electrolyte._closures(mus, last)
     for mu, row in zip(mus, got):
         assert np.array_equal(row, electrolyte._closures([mu], last)[0])
@@ -259,7 +264,7 @@ def test_closures_equal_the_term_by_term_sums(monkeypatch, rows, cells):
         monkeypatch.setattr(electrolyte, "_CLOSURE_CELLS", cells)
     for ym1 in (1e-3, 0.1, 10.0):
         mus = _batch_mus(ym1)
-        last = next(electrolyte._row_counts(from_invariants(1.0 + ym1, 0.1))) - 1
+        last = electrolyte._row_counts(from_invariants(1.0 + ym1, 0.1))[0] - 1
         for mu, row in zip(mus, electrolyte._closures(mus, last)):
             if mu != 0.0:
                 assert np.array_equal(row[1:], _term_by_term(mu, last))
@@ -270,8 +275,8 @@ def test_checkpoints_close_each_truncation_once(monkeypatch):
     monkeypatch.setattr(electrolyte, "_closures", lambda mus, last: calls.append((list(mus), last))
                         or real(mus, last))
     reds = [from_invariants(1.5, u) for u in (0.25, 0.0, 0.1, 0.1, 0.04)]
-    steps = electrolyte._checkpoints(reds, [1.0])
-    truncations = [next(steps)[0] for _ in range(3)]
+    truncations = [10, 15, 23]
+    assert [n for n, *_ in electrolyte._checkpoints(reds, [1.0], truncations)] == truncations
     assert [last + 1 for _, last in calls] == truncations
     spheres = {mu for red in reds for mu in electrolyte._sphere_mus(red)}
     # every distinct sphere once: the repeated u = 0.1 and u = 1/4's pair share a closure
@@ -288,12 +293,10 @@ def checkpoints_seen(monkeypatch):
     """(rows, points in the batch) of each truncation the recursion yields."""
     seen, real = [], electrolyte._checkpoints
 
-    def spy(reds, z):
-        steps, keep = real(reds, z), None
-        while True:
-            n_rows, log_det, size = steps.send(keep)
+    def spy(reds, z, rows):
+        for n_rows, log_det, size in real(reds, z, rows):
             seen.append((n_rows, len(log_det)))
-            keep = yield n_rows, log_det, size
+            yield n_rows, log_det, size
 
     monkeypatch.setattr(electrolyte, "_checkpoints", spy)
     return seen
@@ -303,25 +306,30 @@ def checkpoints_seen(monkeypatch):
 def test_totals_equal_one_point_totals(ym1, checkpoints_seen):
     y = 1.0 + ym1
     got = get_model("ded").totals(y, US)
-    n0 = next(electrolyte._row_counts(from_invariants(y, 0.1)))
-    assert checkpoints_seen == [(n0, 5), (math.ceil(1.5 * n0), 5)]  # one recursion
+    assert checkpoints_seen == [(n, 5) for n in electrolyte._row_counts(from_invariants(y, 0.1))]
     # value and error bit for bit
     assert got == [f_ded_total(from_invariants(y, u)) for u in US]
 
 
-def test_totals_points_stop_at_their_own_truncations(monkeypatch, checkpoints_seen):
+def test_totals_point_whose_change_passes_tol_fails_alone(monkeypatch, checkpoints_seen):
     # From the first truncation, 8 rows at y = 2 with a coarse schedule, to
-    # the second, 12 rows, log det moves by 6.8e-8 of its size at u = 0 and
-    # by 7.6e-8 at u = 1/4: at tol = 7.2e-8 the plane stops at 12 rows and
-    # the sphere at 18.
+    # the second, 12 rows, log det moves by 6.8e-8 of |log det| at u = 0 and
+    # by 7.6e-8 at u = 1/4: at tol = 7.2e-8 the plane returns its 12-row
+    # value and the sphere fails, naming its change.
     monkeypatch.setattr(electrolyte, "_ROWS_VARPI", 1.0)
     tol = 7.2e-8
-    got = get_model("ded").totals(2.0, (0.0, 0.25), tol=tol)
-    assert checkpoints_seen == [(8, 2), (12, 2), (18, 1)]
-    for u, res in zip((0.0, 0.25), got):
-        checkpoints_seen.clear()
-        assert res == f_ded_total(from_invariants(2.0, u), tol=tol)
-        assert checkpoints_seen[-1] == ((12 if u == 0.0 else 18), 1)
+    plane, sphere = get_model("ded").totals(2.0, (0.0, 0.25), tol=tol)
+    assert checkpoints_seen == [(8, 2), (12, 2)]
+    checkpoints_seen.clear()
+    assert plane == f_ded_total(from_invariants(2.0, 0.0), tol=tol)
+    assert checkpoints_seen == [(8, 1), (12, 1)]
+    with pytest.raises(ConvergenceError) as exc:
+        f_ded_total(from_invariants(2.0, 0.25), tol=tol)
+    assert isinstance(sphere, ConvergenceError) and str(sphere) == str(exc.value)
+    (_, first, _), (_, last, _) = electrolyte._checkpoints(
+        [from_invariants(2.0, 0.25)], [1.0, 1j * electrolyte._STEP], (8, 12))
+    change = np.abs(last[0] - first[0]).max()
+    assert f"log det moved by {change:.3g} from 8 to 12 rows" in str(sphere), sphere
 
 
 def test_totals_of_shuffled_or_repeated_u_are_the_same():
