@@ -5,7 +5,6 @@ Prints the achieved deviation on the multi-u evaluation grid next to the
 built-in parameters, and writes the winning parameter sets to out/.
 """
 import pathlib
-import warnings
 
 import numpy as np
 
@@ -20,7 +19,6 @@ EVAL_GRID = [(float(y), u) for u in GRID_U for y in GRID_Y]
 
 def main() -> int:
     OUT.mkdir(exist_ok=True)
-    warnings.simplefilter("ignore")
     for model in ("dvd", "ded"):
         dev_builtin = max_deviation(builtin_params(model), model, EVAL_GRID)
         print(f"{model}: built-in parameters deviation = {dev_builtin:.3e}")

@@ -227,8 +227,8 @@ def _checkpoints(reds, z, rows):
 
     ``reds`` are points of one y, so they share varpi and the truncations.
     The state's axes are (point, z, m); each point has its own mu_i,
-    pivots and closures.  Yields, at each row count N of the increasing
-    ``rows``, the closed truncation's (N, log_det, size):
+    pivots and closures.  Returns one (N, log_det, size) per row count N of
+    the increasing ``rows``, from the truncation closed at N rows:
     log_det[p, k] = sum_m (2 - delta_m0) log det(1 - z[k] M_m) of point p,
     and size[p] the largest over k of such sums of the steps' absolute
     values.
@@ -246,9 +246,9 @@ def _checkpoints(reds, z, rows):
     # per (point, z, m): G = D - diag(a1, a2) of the last row, det D - a1 a2,
     # the sum of the steps and of their absolute values; per (point, m)
     # the pivots a1, a2
-    state = np.zeros((7, len(reds), z.shape[1], 0), dtype=complex)
-    pivots = np.ones((2, len(reds), 1, 0))
-    n, e_p = 0, 0.0
+    state = np.zeros((7, len(reds), z.shape[1], rows[-1]), dtype=complex)
+    pivots = np.ones((2, len(reds), 1, rows[-1]))
+    out, e_p = [], 0.0
 
     def row(n, c, e, add, prev, a1, a2):
         (ch1, sh1, hs1), (ch2, sh2, hs2) = sph
@@ -280,27 +280,24 @@ def _checkpoints(reds, z, rows):
         return (np.stack([n11, n12, n21, n22, ndl, acc + term, size.real + np.abs(term)]),
                 np.stack([na1, na2]))
 
-    for n_end in rows:
-        # rows n..n_end-1 bring in the azimuthal indices m = n..n_end-1
-        state = np.concatenate([state, np.zeros(state.shape[:3] + (n_end - n,))], axis=3)
-        pivots = np.concatenate([pivots, np.ones(pivots.shape[:3] + (n_end - n,))], axis=3)
-        for n in range(n, n_end):
-            mm = np.arange(n + 1.0)
-            c = (n - mm) * (n + mm) / 4.0  # J[n, n-1] J[n-1, n]; 0 on the first row of each m
-            e = math.exp(-(n + 0.5) * reds[0].varpi)
-            prev, piv = state[..., :n + 1], pivots[..., :n + 1]
-            new = row(n, c, e, (0.0, 0.0), prev, *piv)
-            if n == n_end - 1:
-                # the closures of both spheres of every point, shaped (sphere, point, 1, m)
-                ratios = _closures(uniq, n)[which.reshape(mus.shape)]
-                add = -0.5 * (n + mm + 1.0) * ratios.swapaxes(0, 1)[:, :, None]
-                closed = row(n, c, e, add, prev, *piv)[0]
-                w = np.where(mm == 0, 1.0, 2.0)
-                yield (n_end, (closed[5] * w).sum(axis=-1),
-                       (closed[6].real * w).sum(-1).max(axis=-1))
-            state[..., :n + 1], pivots[..., :n + 1] = new
-            e_p = e
-        n = n_end
+    for n in range(rows[-1]):
+        # row n brings in the azimuthal index m = n
+        mm = np.arange(n + 1.0)
+        c = (n - mm) * (n + mm) / 4.0  # J[n, n-1] J[n-1, n]; 0 on the first row of each m
+        e = math.exp(-(n + 0.5) * reds[0].varpi)
+        prev, piv = state[..., :n + 1], pivots[..., :n + 1]
+        if n + 1 in rows:
+            # the closures of both spheres of every point, shaped (sphere, point, 1, m)
+            ratios = _closures(uniq, n)[which.reshape(mus.shape)]
+            add = -0.5 * (n + mm + 1.0) * ratios.swapaxes(0, 1)[:, :, None]
+            closed = row(n, c, e, add, prev, *piv)[0]
+            w = np.where(mm == 0, 1.0, 2.0)
+            out.append((n + 1, (closed[5] * w).sum(axis=-1),
+                        (closed[6].real * w).sum(-1).max(axis=-1)))
+            if n + 1 == rows[-1]:
+                return out
+        state[..., :n + 1], pivots[..., :n + 1] = row(n, c, e, (0.0, 0.0), prev, *piv)
+        e_p = e
 
 
 def _converged(reds, z, tol: float) -> list:

@@ -165,8 +165,10 @@ def phi_rm(y, params: RationalModelParams):
     return out
 
 
-# phi_u evaluations dominate the fitting cost; a refit on the default
-# 200-point grid and the acceptance phi tables (about 1,300 points) fit
+# phi_u evaluations dominate the fitting cost.  Measured keys: 200 for a
+# refit on the default grid, 1,000 for the benchmark's series_fit (a refit
+# and two max_deviation over 5 u x 200 y; 1,400 hits), 220 for the
+# acceptance suite, whose phi tables read Model.totals instead
 _PHI_CACHE_SIZE = 8192
 
 

@@ -33,43 +33,10 @@ from .electrolyte import _EPS, ValueWithError, _checkpoints, _closures, _row_cou
 from .models import MODELS, get_model
 
 __all__ = [
-    "reflection_tm",
-    "reflection_tm_series",
     "f_roundtrip_planewave",
     "banded_determinant_deviations",
     "planewave_r1_deviations",
 ]
-
-# highest multipole order kept by reflection_tm_series
-_MULTIPOLE_CUTOFF = 40
-
-
-def reflection_tm(model: str, chi) -> np.ndarray | float:
-    """Closed-form zero-frequency TM reflection kernel of the registry's ``model``.
-
-    cosh(chi) for scalar, cosh(chi) - 1 for dvd (a Drude sphere in vacuum)
-    and minus the dielectric-in-electrolyte bracket for ded.  Raises
-    :class:`DomainError` for an unknown name.
-    """
-    out = get_model(model).kernel(np.asarray(chi, dtype=float))
-    return float(out) if np.ndim(chi) == 0 else out
-
-
-def reflection_tm_series(model: str, chi) -> np.ndarray | float:
-    """Truncated multipole series of the same kernel, for cross-checks.
-
-    Sums A_ell chi^(2 ell) / (2 ell)! for ell = 0 to 40
-    (``_MULTIPOLE_CUTOFF``), A_ell the model's ``amplitude``.
-    """
-    amplitude = get_model(model).amplitude
-    chi_arr = np.asarray(chi, dtype=float)
-    acc = np.zeros_like(chi_arr)
-    p = np.ones_like(chi_arr)
-    for ell in range(_MULTIPOLE_CUTOFF + 1):
-        if ell:
-            p = p * chi_arr * chi_arr / ((2 * ell - 1) * (2 * ell))
-        acc = acc + amplitude(ell) * p
-    return float(acc) if np.ndim(chi) == 0 else acc
 
 
 def _bilinear_rule(kern, c1, c2, nodes: int) -> float:
@@ -211,5 +178,5 @@ def banded_determinant_deviations():
     """
     for ym1, u in ((0.05, 0.0), (0.1, 0.04), (0.5, 0.25), (1.0, 0.1), (3.0, 0.016)):
         red = from_invariants(1.0 + ym1, u)
-        n_rows, log_det, _ = next(_checkpoints([red], [1.0], _row_counts(red)[:1]))
+        [(n_rows, log_det, _)] = _checkpoints([red], [1.0], _row_counts(red)[:1])
         yield ym1, u, float(abs(_dense_log_det(red, n_rows) / log_det[0, 0].real - 1.0))

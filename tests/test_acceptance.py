@@ -8,7 +8,6 @@ behind the recorded values.
 """
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -26,8 +25,6 @@ from casimir_spheres.validation import (banded_determinant_deviations,
                                         planewave_r1_deviations)
 
 PFA = ZETA3 / 8.0
-
-warnings.simplefilter("ignore")
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:

@@ -10,8 +10,9 @@ the truncations.  Re-record it by
     PYTHONPATH=src python tests/test_ded_exact.py --record
 
 The oracle works in the spherical-multipole basis instead: per m,
-M_m = A V A V^T with the sphere amplitudes A (1 for the Dirichlet scalar,
-l/(l+1) for ded) and the translation matrix
+M_m = A V A V^T with the sphere amplitudes A_l of a registry model
+(``MODELS[name].amplitude``: 1 for the Dirichlet scalar, -l/(l+1) for
+ded, whose sign cancels in M_m) and the translation matrix
 V_ll' = (l+l')! / sqrt((l+m)!(l-m)!(l'+m)!(l'-m)!)
         sqrt(alpha1)^(l+1/2) sqrt(alpha2)^(l'+1/2) / sqrt(z)^(l+l'+1),
 summed by power traces.  It needs l_max of the order of the larger
@@ -27,11 +28,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from casimir_spheres import electrolyte
 from casimir_spheres.electrolyte import f1_ded, f_ded_total
 from casimir_spheres.geometry import from_invariants
+from casimir_spheres.models import MODELS
 from casimir_spheres.scalar import f_sc_total
 
 DATA = Path(__file__).resolve().parent / "data" / "ded_exact.json"
@@ -43,30 +44,28 @@ ORACLE_LMAX = {(0.5, 0.25): 80, (1.0, 0.1): 160, (10.0, 0.016): 130, (100.0, 0.1
                (1000.0, 0.25): 20}
 
 
-def neumann(ell):
-    """The ded amplitude l/(l+1); its sign cancels in M_m."""
-    return ell / (ell + 1.0)
-
-
-def _round_trip_matrices(red, lmax, amplitude):
-    """M_m = A V A V^T for m = 0..lmax, with underflowing entries flushed to 0."""
+def _round_trip_matrices(model, red, lmax):
+    """M_m = A V A V^T of the registry's ``model`` for m = 0..lmax, with
+    underflowing entries flushed to 0."""
+    amp = np.array([MODELS[model].amplitude(ell) for ell in range(lmax + 1)])
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(2 * lmax + 1)])
     for m in range(lmax + 1):
-        ell = np.arange(m, lmax + 1, dtype=float)
-        half = 0.5 * (gammaln(ell + m + 1.0) + gammaln(ell - m + 1.0))
-        log_v = (gammaln(ell[:, None] + ell[None, :] + 1.0) - half[:, None] - half[None, :]
+        ell = np.arange(m, lmax + 1)
+        half = 0.5 * (log_fact[ell + m] + log_fact[ell - m])
+        log_v = (log_fact[ell[:, None] + ell[None, :]] - half[:, None] - half[None, :]
                  + 0.5 * (ell[:, None] + 0.5) * math.log(red.alpha1)
                  + 0.5 * (ell[None, :] + 0.5) * math.log(red.alpha2)
                  - 0.5 * (ell[:, None] + ell[None, :] + 1.0) * math.log(red.z))
         v = np.exp(log_v)
         v[v < 1e-250] = 0.0  # subnormal products cost 100 times a normal one
-        amp = amplitude(ell)
-        yield m, (amp[:, None] * v * amp[None, :]) @ v.T
+        a = amp[m:]
+        yield m, (a[:, None] * v * a[None, :]) @ v.T
 
 
-def multipole_orders(red, amplitude, lmax, r_max):
+def multipole_orders(model, red, lmax, r_max):
     """f^(r) = 1/2 sum_m (2 - delta_m0) tr(M_m^r) / r for r = 0..r_max."""
     out = np.zeros(r_max + 1)
-    for m, mat in _round_trip_matrices(red, lmax, amplitude):
+    for m, mat in _round_trip_matrices(model, red, lmax):
         power = mat
         for r in range(1, r_max + 1):
             out[r] += (1.0 if m == 0 else 2.0) * 0.5 * np.trace(power) / r
@@ -75,10 +74,10 @@ def multipole_orders(red, amplitude, lmax, r_max):
     return out
 
 
-def multipole_total(red, amplitude, lmax):
+def multipole_total(model, red, lmax):
     """Sum over r of f^(r), each m's power traces summed until they stop mattering."""
     total = 0.0
-    for m, mat in _round_trip_matrices(red, lmax, amplitude):
+    for m, mat in _round_trip_matrices(model, red, lmax):
         power, acc = mat, 0.0
         for r in range(1, 10**4):
             term = np.trace(power) / r
@@ -96,8 +95,8 @@ def _record():
     for dy, u in POINTS:
         red = from_invariants(1.0 + dy, u)
         n0, n1 = electrolyte._row_counts(red)
-        trunc = list(electrolyte._checkpoints([red], [1.0, 1j * electrolyte._STEP],
-                                              (n0, n1, math.ceil(1.5 * n1))))
+        trunc = electrolyte._checkpoints([red], [1.0, 1j * electrolyte._STEP],
+                                         (n0, n1, math.ceil(1.5 * n1)))
         f = [-0.5 * log_det[0, 0].real for _, log_det, _ in trunc]
         rows.append({"y_minus_1": dy, "u": u, "rows": trunc[2][0], "f": f[2],
                      "f1": -0.5 * trunc[2][1][0, 1].imag / electrolyte._STEP,
@@ -133,14 +132,14 @@ def test_total_matches_table(table, point):
 @pytest.mark.parametrize("point", sorted(ORACLE_LMAX), ids=lambda p: f"{p[0]:g}-{p[1]:g}")
 def test_table_matches_multipole_oracle(table, point):
     red = from_invariants(1.0 + point[0], point[1])
-    want = multipole_total(red, neumann, ORACLE_LMAX[point])
+    want = multipole_total("ded", red, ORACLE_LMAX[point])
     assert table[point]["f"] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("point", [(0.5, 0.25), (1.0, 0.1)], ids=str)
 def test_multipole_oracle_reproduces_scalar_total(point):
     red = from_invariants(1.0 + point[0], point[1])
-    got = multipole_total(red, np.ones_like, ORACLE_LMAX[point])
+    got = multipole_total("scalar", red, ORACLE_LMAX[point])
     assert got == pytest.approx(f_sc_total(red, tol=1e-15), rel=1e-12)
 
 

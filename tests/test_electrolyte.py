@@ -11,7 +11,10 @@ from casimir_spheres.electrolyte import (QuadratureSettings, f1_ded, f_ded_dipol
 from casimir_spheres.errors import ConvergenceError, DomainError
 from casimir_spheres.geometry import from_invariants
 from casimir_spheres.models import get_model
-from test_ded_exact import multipole_orders, neumann
+from test_ded_exact import multipole_orders
+
+# the closures' tables divide by zero in cells they then discard
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_bench_settings_hold_only_an_unread_seed():
@@ -66,7 +69,7 @@ def test_roundtrip_r2_dual_method():
     # trace of the spherical-multipole round trip
     for (y, u) in [(2.0, 0.25), (3.0, 0.1)]:
         red = from_invariants(y, u)
-        want = multipole_orders(red, neumann, 60, 2)[2]
+        want = multipole_orders("ded", red, 60, 2)[2]
         got = f_ded_roundtrip(red, 2)
         assert got.value == pytest.approx(want, rel=1e-10)
         assert got.error < 1e-10 * got.value
@@ -290,13 +293,13 @@ def test_checkpoints_close_each_truncation_once(monkeypatch):
 
 @pytest.fixture
 def checkpoints_seen(monkeypatch):
-    """(rows, points in the batch) of each truncation the recursion yields."""
+    """(rows, points in the batch) of each truncation the recursion returns."""
     seen, real = [], electrolyte._checkpoints
 
     def spy(reds, z, rows):
-        for n_rows, log_det, size in real(reds, z, rows):
-            seen.append((n_rows, len(log_det)))
-            yield n_rows, log_det, size
+        out = real(reds, z, rows)
+        seen.extend((n_rows, len(log_det)) for n_rows, log_det, _ in out)
+        return out
 
     monkeypatch.setattr(electrolyte, "_checkpoints", spy)
     return seen

@@ -23,7 +23,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -93,8 +92,7 @@ def _ded_total():
 
 def _curve(quantity, model="all"):
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with contextlib.redirect_stdout(buf):
         code = cli_main(["curve", "--model", model, "--quantity", quantity,
                          *CURVE_GRID, "--out", "-"])
     assert code == 0

@@ -7,6 +7,7 @@ phi_u's are finite and positive is.
 """
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,8 @@ from casimir_spheres import (CasimirError, SphereGeometry, capacitance_coeffs,
                              f_dvd_dipole, f_dvd_total, f_sc_total,
                              from_invariants, phi_u, reduce)
 from casimir_spheres.models import MODELS
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _log_uniform(lo, hi):

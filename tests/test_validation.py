@@ -12,22 +12,31 @@ from casimir_spheres.geometry import from_invariants
 from casimir_spheres.models import MODELS, get_model
 from casimir_spheres.scalar import f_sc_roundtrip
 from casimir_spheres import models, validation
-from casimir_spheres.validation import (banded_determinant_deviations,
-                                        f_roundtrip_planewave, reflection_tm,
-                                        reflection_tm_series)
+from casimir_spheres.validation import banded_determinant_deviations, f_roundtrip_planewave
+
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def test_kernels_at_zero():
-    assert reflection_tm("scalar", 0.0) == 1.0
-    assert reflection_tm("dvd", 0.0) == 0.0
-    assert reflection_tm("ded", 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert float(MODELS["scalar"].kernel(0.0)) == 1.0
+    assert float(MODELS["dvd"].kernel(0.0)) == 0.0
+    assert float(MODELS["ded"].kernel(0.0)) == pytest.approx(0.0, abs=1e-15)
+
+
+def _kernel_series(model, chi):
+    """sum_ell A_ell chi^(2 ell) / (2 ell)! for ell = 0..40, A_ell the registry's amplitude."""
+    acc, p = 0.0, 1.0
+    for ell in range(41):
+        if ell:
+            p *= chi * chi / ((2 * ell - 1) * (2 * ell))
+        acc += MODELS[model].amplitude(ell) * p
+    return acc
 
 
 def test_series_matches_closed_forms():
     for model in MODELS:
-        closed = reflection_tm(model, 1.0)
-        series = reflection_tm_series(model, 1.0)
-        assert series == pytest.approx(closed, rel=1e-14)
+        closed = float(MODELS[model].kernel(1.0))
+        assert _kernel_series(model, 1.0) == pytest.approx(closed, rel=1e-14)
 
 
 def test_ded_integral_representation_identity():
@@ -36,13 +45,13 @@ def test_ded_integral_representation_identity():
         with mpmath.workdps(30):
             x = mpmath.mpf(chi)
             val = float(mpmath.quad(lambda t: mpmath.cosh(x) - 2 * t * mpmath.cosh(t * x), [0, 1]))
-        assert -reflection_tm("ded", chi) == pytest.approx(val, rel=1e-12)
+        assert -float(MODELS["ded"].kernel(chi)) == pytest.approx(val, rel=1e-12)
 
 
 def test_kernel_parity():
     chi = np.linspace(-3.0, 3.0, 13)
     for model in MODELS:
-        vals = reflection_tm(model, chi)
+        vals = MODELS[model].kernel(chi)
         assert np.allclose(vals, vals[::-1], rtol=1e-14)
 
 
@@ -170,9 +179,5 @@ def test_banded_determinant_check_sees_a_moved_sphere(monkeypatch):
 def test_oracle_takes_registry_names_only(name):
     with pytest.raises(DomainError, match="unknown model"):
         get_model(name)
-    with pytest.raises(DomainError, match="unknown model"):
-        reflection_tm(name, 1.0)
-    with pytest.raises(DomainError, match="unknown model"):
-        reflection_tm_series(name, 1.0)
     with pytest.raises(DomainError, match="unknown model"):
         f_roundtrip_planewave(name, from_invariants(2.0, 0.1), 1)
