@@ -56,11 +56,9 @@ def _geometry_from_args(args) -> ReducedGeometry:
         return from_invariants(args.y, args.u if args.u is not None else 0.25)
     if args.L is None or args.R1 is None:
         _fail("geometry needs --L and --R1 (with --R2 or --plane), or --y [--u]")
-    if args.plane:
-        return reduce(SphereGeometry(L=args.L, R1=args.R1, R2=PLANE))
-    if args.R2 is None:
-        _fail("give --R2 or --plane")
-    return reduce(SphereGeometry(L=args.L, R1=args.R1, R2=args.R2))
+    if args.plane == (args.R2 is not None):
+        _fail("give exactly one of --R2 and --plane")
+    return reduce(SphereGeometry(L=args.L, R1=args.R1, R2=PLANE if args.plane else args.R2))
 
 
 def _check_grid(args):
@@ -73,9 +71,9 @@ def _check_grid(args):
 
 def _read_params(path, models):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             params = FitResult.from_json(fh.read()).params
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, DomainError) as exc:
         _fail(f"cannot read parameters from {path}: {type(exc).__name__}: {exc}")
     if set(models) != {params.model_tag}:
         _fail(f"cannot read parameters from {path}: fitted for {params.model_tag!r}, "

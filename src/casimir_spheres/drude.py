@@ -32,10 +32,11 @@ __all__ = [
 class CapacitanceMatrix:
     """Dimensionless capacitance matrix of the two-sphere conductor system.
 
-    The physical matrix is 4*pi*eps0*sqrt(R1 R2) times this one.  For the
-    plane-sphere case the stored entries are the rescaled limits
-    (c11*sqrt(R2/R1), c22*sqrt(R1/R2), c12) which keep the determinant
-    finite; there c12 degenerates to 0.
+    The physical matrix is 4*pi*eps0*sqrt(R1 R2) times this one, sphere 1
+    being the larger body.  For the plane-sphere case, whose body 1 is the
+    plane, the stored entries are limits rescaled to keep the determinant
+    finite: c11 is the sphere's coefficient in units of 4*pi*eps0 times
+    its radius, c22 = 1 and c12 = 0, so det = c11.
 
     Note: the determinant exceeds 1 at any finite separation and tends to
     1 from above at large distance, as 1/(2y).  ``det_minus_one`` avoids
@@ -87,6 +88,9 @@ def _capacitance_sums(varpi: float, tol: float, scales=()) -> list[float]:
 
 def capacitance_coeffs(red: ReducedGeometry, tol: float = 1e-12) -> CapacitanceMatrix:
     """Dimensionless capacitance coefficients and determinant.
+
+    Index 1 is the larger body (``red.alpha1 >= 1``); the plane-sphere
+    entries are described at :class:`CapacitanceMatrix`.
 
     Parameters
     ----------

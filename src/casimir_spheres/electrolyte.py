@@ -127,17 +127,16 @@ def f_ded_dipole(red: ReducedGeometry) -> float:
 
 
 def _sphere_mus(red: ReducedGeometry) -> tuple:
-    """(mu1, mu2) of the two spheres; a plane sits at mu = 0.
+    """(mu1, mu2) of the two bodies, the larger first; a plane sits at mu = 0.
 
-    tanh(mu_i) = sinh(varpi) / (alpha_i + cosh(varpi)), taken for the
-    larger sphere in a form free of cancellation near contact; the other
-    is varpi minus it.
+    tanh(mu_1) = sinh(varpi) / (alpha_1 + cosh(varpi)), taken in a form
+    free of cancellation near contact; mu_2 is varpi minus it.
     """
     v = red.varpi
     if red.is_plane:
-        return (0.0, v) if math.isinf(red.alpha1) else (v, 0.0)
-    mu_big = 0.5 * math.log1p(2.0 * math.sinh(v) / (max(red.alpha1, red.alpha2) + math.exp(-v)))
-    return (mu_big, v - mu_big) if red.alpha1 >= red.alpha2 else (v - mu_big, mu_big)
+        return (0.0, v)
+    mu1 = 0.5 * math.log1p(2.0 * math.sinh(v) / (red.alpha1 + math.exp(-v)))
+    return (mu1, v - mu1)
 
 
 def _closures(mus, last: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 
@@ -61,47 +61,64 @@ class SphereGeometry:
     def is_plane(self) -> bool:
         return math.isinf(self.R2)
 
-    @property
-    def center_distance(self) -> float:
-        """Center-to-center distance L + R1 + R2 (infinite for the plane case)."""
-        return self.L + self.R1 + self.R2
-
 
 @dataclass(frozen=True)
 class ReducedGeometry:
-    """Dimensionless invariants derived from a :class:`SphereGeometry`.
+    """The two invariants (y, u) of a configuration, and ratios derived from them.
+
+    Two instances are equal, and hash alike, exactly when their y and u
+    are; the other attributes are worked out from these two.  Sphere 1 is
+    the larger body: the plane at u = 0, otherwise the larger sphere.
 
     Attributes
     ----------
     y : float
-        Conformal invariant, > 1 for exterior non-touching spheres.
+        Conformal invariant, > 1 and finite.
     u : float
         Symmetric radius-ratio parameter in [0, 1/4]; 0 marks the
         plane-sphere case, 1/4 equal radii.
     z : float
-        Squared center distance over R1*R2; infinite for the plane case.
+        Squared center distance over R1*R2, 2(y - 1) + 1/u; infinite for
+        the plane case.
     varpi : float
         arcosh(y), > 0.
-    r_eff : float
-        Effective radius R1*R2/(R1+R2) in the input length unit.
     alpha1, alpha2 : float
-        Radius ratios R1/R2 and R2/R1 with alpha1*alpha2 = 1; one of them
-        is 0 and the other infinite in the plane case.
+        Radius ratios R1/R2 >= 1 and R2/R1 <= 1, with alpha1*alpha2 = 1.
+        alpha1 is the larger root (1 - 2u + sqrt(1 - 4u)) / (2u) of
+        u = alpha / (1 + alpha)^2; for u = 0 it is infinite and alpha2 is
+        0.  Below u = 5.6e-309 alpha1 overflows a double, and
+        :class:`DomainError` is raised.
     """
 
     y: float
     u: float
-    z: float
-    varpi: float
-    r_eff: float
-    alpha1: float
-    alpha2: float
+    z: float = field(init=False, repr=False, compare=False)
+    varpi: float = field(init=False, repr=False, compare=False)
+    alpha1: float = field(init=False, repr=False, compare=False)
+    alpha2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.y > 1 and math.isfinite(self.y)):
-            raise DomainError(f"invariant y must satisfy y > 1, got {self.y}")
-        if not 0.0 <= self.u <= 0.25:
-            raise DomainError(f"radius-ratio parameter u must lie in [0, 1/4], got {self.u}")
+        y, u = self.y, self.u
+        if not (isinstance(y, (int, float)) and y > 1 and math.isfinite(y)):
+            raise DomainError(f"invariant y must satisfy y > 1, got {y}")
+        if not 0.0 <= u <= 0.25:
+            raise DomainError(f"radius-ratio parameter u must lie in [0, 1/4], got {u}")
+        # as floats: a numpy y or u makes z a numpy scalar, whose overflow warns where a float's raises
+        y, u = float(y), float(u)
+        if u == 0.0:
+            u, z, alpha1 = 0.0, math.inf, math.inf
+        else:
+            # rationalized form: the "-" root as 2u/(1 - 2u + sqrt(1 - 4u)) stays
+            # accurate for small u
+            s = math.sqrt(1.0 - 4.0 * u)
+            alpha1 = (1.0 - 2.0 * u + s) / (2.0 * u)
+            if math.isinf(alpha1):
+                raise DomainError(f"radius-ratio parameter u = {u:.3g} is too small for a double "
+                                  "radius ratio; u = 0 is the plane")
+            z = 2.0 * (y - 1.0) + 1.0 / u
+        for name, value in (("y", y), ("u", u), ("z", z), ("varpi", _arcosh(y)),
+                            ("alpha1", alpha1), ("alpha2", 1.0 / alpha1)):
+            object.__setattr__(self, name, value)
 
     @property
     def is_plane(self) -> bool:
@@ -122,11 +139,12 @@ def reduce(geom: SphereGeometry) -> ReducedGeometry:
     """Map a physical configuration onto its dimensionless invariants.
 
     The invariant is computed from the expanded form
-    y = 1 + L/R_eff + (u/2)(L/R_eff)^2, which is an exact rewriting of
-    (distance^2 - R1^2 - R2^2) / (2 R1 R2) but free of cancellation for
-    L much smaller than the radii.  Radii whose sum squared overflows,
-    whose product underflows or whose ratio overflows a double raise
-    :class:`DomainError`.
+    y = 1 + L/R_eff + (u/2)(L/R_eff)^2, R_eff = R1 R2/(R1 + R2), which is
+    an exact rewriting of (distance^2 - R1^2 - R2^2) / (2 R1 R2) but free
+    of cancellation for L much smaller than the radii.  Radii whose sum
+    squared overflows, whose product underflows or whose ratio overflows
+    a double raise :class:`DomainError`.  The result does not depend on
+    which sphere is given as R1.
 
     Parameters
     ----------
@@ -137,47 +155,21 @@ def reduce(geom: SphereGeometry) -> ReducedGeometry:
     ReducedGeometry
     """
     if geom.is_plane:
-        y = 1.0 + geom.L / geom.R1
-        return ReducedGeometry(
-            y=y,
-            u=0.0,
-            z=math.inf,
-            varpi=_arcosh(y),
-            r_eff=geom.R1,
-            alpha1=0.0,
-            alpha2=math.inf,
-        )
+        return ReducedGeometry(1.0 + geom.L / geom.R1, 0.0)
     L, R1, R2 = geom.L, geom.R1, geom.R2
     # (R1 + R2)**2 must stay finite, R1 R2 normal and R1/R2 finite
     if not (R1 + R2 <= math.sqrt(sys.float_info.max) and R1 * R2 >= sys.float_info.min
             and max(R1, R2) / min(R1, R2) < math.inf):
         raise DomainError(f"radii R1 = {R1:.3g} and R2 = {R2:.3g} leave the range of a double "
                           "in (R1 + R2)^2, R1 R2 or R1/R2")
-    r_eff = R1 * R2 / (R1 + R2)
-    u = R1 * R2 / (R1 + R2) ** 2
     # guard rounding at the equal-radius boundary
-    u = min(u, 0.25)
-    x = L / r_eff
-    y = 1.0 + x + 0.5 * u * x * x
-    cdist = geom.center_distance
-    return ReducedGeometry(
-        y=y,
-        u=u,
-        z=cdist * cdist / (R1 * R2),
-        varpi=_arcosh(y),
-        r_eff=r_eff,
-        alpha1=R1 / R2,
-        alpha2=R2 / R1,
-    )
+    u = min(R1 * R2 / (R1 + R2) ** 2, 0.25)
+    x = L / (R1 * R2 / (R1 + R2))
+    return ReducedGeometry(1.0 + x + 0.5 * u * x * x, u)
 
 
 def from_invariants(y: float, u: float) -> ReducedGeometry:
-    """Build a :class:`ReducedGeometry` directly from (y, u).
-
-    The length scale is fixed by the convention r_eff = 1.  The ratio
-    alpha1 takes the larger root (1 - 2u + sqrt(1 - 4u)) / (2u), so for
-    u -> 0 alpha2 -> 0 while alpha1 diverges; below u = 5.6e-309 it
-    overflows a double, and :class:`DomainError` is raised.
+    """The :class:`ReducedGeometry` of (y, u); the same as ``ReducedGeometry(y, u)``.
 
     Parameters
     ----------
@@ -190,29 +182,7 @@ def from_invariants(y: float, u: float) -> ReducedGeometry:
     -------
     ReducedGeometry
     """
-    if not (isinstance(y, (int, float)) and y > 1 and math.isfinite(y)):
-        raise DomainError(f"invariant y must satisfy y > 1, got {y}")
-    if not 0.0 <= u <= 0.25:
-        raise DomainError(f"radius-ratio parameter u must lie in [0, 1/4], got {u}")
-    # as floats: a numpy y or u makes z a numpy scalar, whose overflow warns where a float's raises
-    y, u = float(y), float(u)
-    if u == 0.0:
-        return ReducedGeometry(
-            y=y, u=0.0, z=math.inf, varpi=_arcosh(y),
-            r_eff=1.0, alpha1=math.inf, alpha2=0.0,
-        )
-    # rationalized form: the "-" root as 2u/(1 - 2u + sqrt(1 - 4u)) stays
-    # accurate for small u
-    s = math.sqrt(1.0 - 4.0 * u)
-    alpha1 = (1.0 - 2.0 * u + s) / (2.0 * u)
-    if math.isinf(alpha1):
-        raise DomainError(f"radius-ratio parameter u = {u:.3g} is too small for a double "
-                          "radius ratio; u = 0 is the plane")
-    alpha2 = 1.0 / alpha1
-    return ReducedGeometry(
-        y=y, u=u, z=2.0 * (y - 1.0) + 1.0 / u, varpi=_arcosh(y),
-        r_eff=1.0, alpha1=alpha1, alpha2=alpha2,
-    )
+    return ReducedGeometry(y, u)
 
 
 def free_energy_si(f: float, T: float) -> tuple[float, float, float]:

@@ -128,21 +128,27 @@ class FitResult:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "FitResult":
-        doc = json.loads(text)
-        params = RationalModelParams(
-            nu=tuple(float(v) for v in doc["nu"]),
-            mu=tuple(float(v) for v in doc["mu"]),
-            model_tag=str(doc["model"]),
-        )
-        if int(doc["n"]) != params.n:
-            raise DomainError(f"n = {doc['n']} but nu and mu hold {params.n} values")
-        return cls(
-            params=params,
-            epsilon=float(doc.get("epsilon", math.nan)),
-            grid_spec=dict(doc.get("grid_spec", {})),
-            seed=int(doc.get("seed", 0)),
-        )
+    def from_json(cls, text: str | bytes) -> "FitResult":
+        """Read a document written by :meth:`to_json`; :class:`DomainError` for any other."""
+        try:
+            doc = json.loads(text)
+            params = RationalModelParams(
+                nu=tuple(float(v) for v in doc["nu"]),
+                mu=tuple(float(v) for v in doc["mu"]),
+                model_tag=str(doc["model"]),
+            )
+            if int(doc["n"]) != params.n:
+                raise DomainError(f"n = {doc['n']} but nu and mu hold {params.n} values")
+            return cls(
+                params=params,
+                epsilon=float(doc.get("epsilon", math.nan)),
+                grid_spec=dict(doc.get("grid_spec", {})),
+                seed=int(doc.get("seed", 0)),
+            )
+        except DomainError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"not a parameter document: {type(exc).__name__}: {exc}") from None
 
 
 def phi_rm(y, params: RationalModelParams):

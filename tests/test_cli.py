@@ -52,10 +52,16 @@ def test_compute_with_temperature(capsys):
     assert "F_T" in out and "k_B" in out
 
 
-def test_compute_rejects_conflicting_geometry(capsys):
+@pytest.mark.parametrize("argv, flags", [(["--R2", "1", "--y", "2"], ["--y", "--R2"]),
+                                         (["--R2", "5", "--plane"], ["--R2", "--plane"])],
+                         ids=["y", "plane"])
+def test_compute_rejects_conflicting_geometry(capsys, argv, flags):
     with pytest.raises(SystemExit) as exc:
-        run(capsys, "compute", "--L", "1", "--R1", "1", "--R2", "1", "--y", "2")
+        run(capsys, "compute", "--L", "1", "--R1", "1", *argv)
     assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert all(flag in err for flag in flags)
 
 
 @pytest.mark.parametrize("model", ["scalar", "dvd", "ded"])

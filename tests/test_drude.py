@@ -59,14 +59,14 @@ def test_mutual_capacitance_identity():
     red = reduce(geom)
     maxwell = sum(math.sinh(red.varpi) / math.sinh(m * red.varpi) for m in range(1, 200))
     c12_len = math.sqrt(geom.R1 * geom.R2) * capacitance_coeffs(red).c12
-    assert c12_len == pytest.approx(-geom.R1 * geom.R2 / geom.center_distance * maxwell,
-                                    rel=1e-12)
+    distance = geom.L + geom.R1 + geom.R2
+    assert c12_len == pytest.approx(-geom.R1 * geom.R2 / distance * maxwell, rel=1e-12)
 
 
 def test_mutual_capacitance_far_limit():
     geom = SphereGeometry(L=200.0, R1=1.0, R2=2.0)
     red = reduce(geom)
-    expect = -geom.R1 * geom.R2 / geom.center_distance
+    expect = -geom.R1 * geom.R2 / (geom.L + geom.R1 + geom.R2)
     c12_len = math.sqrt(geom.R1 * geom.R2) * capacitance_coeffs(red).c12
     assert c12_len == pytest.approx(expect, rel=1e-4)
 

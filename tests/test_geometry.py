@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,30 +7,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_spheres.electrolyte import f1_ded
+from casimir_spheres.drude import capacitance_coeffs, f_dvd_total
+from casimir_spheres.electrolyte import f1_ded, f_ded_total
 from casimir_spheres.errors import ConvergenceError, DomainError
 from casimir_spheres.geometry import (PLANE, ReducedGeometry, SphereGeometry,
                                       free_energy_si, from_invariants, reduce)
+from casimir_spheres.rational import phi_u
 
 radii = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 gaps = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
 
 
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _fields(red):
+    return [getattr(red, f.name) for f in dataclasses.fields(red)]
+
+
 def to_sphere_geometry(red: ReducedGeometry) -> SphereGeometry:
-    """A physical configuration of ``red`` at its r_eff scale: the inverse
-    of :func:`reduce` up to rounding."""
+    """A physical configuration of (y, u) with R1 R2/(R1 + R2) = 1, the
+    larger sphere first: the inverse of :func:`reduce` up to rounding."""
     if red.is_plane:
-        return SphereGeometry(L=(red.y - 1.0) * red.r_eff, R1=red.r_eff, R2=PLANE)
-    rsum = red.r_eff / red.u
-    # R1, R2 are roots of R^2 - rsum R + r_eff*rsum = 0; recover the
-    # smaller one from the product to avoid cancellation at small u
-    disc = math.sqrt(max(rsum * rsum - 4.0 * red.r_eff * rsum, 0.0))
+        return SphereGeometry(L=red.y - 1.0, R1=1.0, R2=PLANE)
+    rsum = 1.0 / red.u
+    # R1, R2 are roots of R^2 - rsum R + rsum = 0; recover the smaller
+    # one from the product to avoid cancellation at small u
+    disc = math.sqrt(max(rsum * rsum - 4.0 * rsum, 0.0))
     big = 0.5 * (rsum + disc)
-    small = red.r_eff * rsum / big
-    R1, R2 = (big, small) if red.alpha1 >= 1.0 else (small, big)
-    # positive root of 1 + x + (u/2) x^2 = y  for x = L/r_eff
+    # positive root of 1 + x + (u/2) x^2 = y  for x = L R1 R2/(R1 + R2)
     x = 2.0 * (red.y - 1.0) / (1.0 + math.sqrt(1.0 + 2.0 * red.u * (red.y - 1.0)))
-    return SphereGeometry(L=x * red.r_eff, R1=R1, R2=R2)
+    return SphereGeometry(L=x, R1=big, R2=rsum / big)
 
 
 def test_equal_spheres_example():
@@ -60,7 +69,9 @@ def test_plane_sphere_example():
     assert red.u == 0.0
     assert red.is_plane
     assert math.isinf(red.z)
-    assert red.r_eff == 1.0
+    # the plane is body 1, as in every ReducedGeometry
+    assert red.alpha1 == math.inf and red.alpha2 == 0.0
+    assert red == ReducedGeometry(2.0, 0.0)
 
 
 def test_rejects_bad_inputs():
@@ -73,8 +84,11 @@ def test_rejects_bad_inputs():
     with pytest.raises(DomainError):
         from_invariants(2.0, 0.3)
     with pytest.raises(DomainError):
-        ReducedGeometry(y=0.5, u=0.1, z=10.0, varpi=1.0, r_eff=1.0,
-                        alpha1=1.0, alpha2=1.0)
+        ReducedGeometry(0.5, 0.1)
+    with pytest.raises(DomainError):
+        ReducedGeometry(2.0, -0.1)
+    with pytest.raises(TypeError):
+        ReducedGeometry(2.0, 0.1, z=10.0)
 
 
 def test_from_invariants_examples():
@@ -103,6 +117,10 @@ def test_reduce_invariants(L, R1, R2):
     assert red.alpha1 * red.alpha2 == pytest.approx(1.0, rel=1e-14)
     # conformal parameter consistency
     assert 2.0 * (red.y - 1.0) + 1.0 / red.u == pytest.approx(red.z, rel=1e-12)
+    # sphere 1 is the larger one, whichever radius was given first
+    assert red.alpha1 >= 1.0 >= red.alpha2
+    swapped = reduce(SphereGeometry(L=L, R1=R2, R2=R1))
+    assert swapped == red and _hex(_fields(swapped)) == _hex(_fields(red))
 
 
 @given(L=gaps, R1=radii, R2=radii, lam=st.floats(min_value=1e-2, max_value=1e2))
@@ -114,15 +132,24 @@ def test_scale_invariance(L, R1, R2, lam):
     assert b.u == pytest.approx(a.u, rel=1e-12)
 
 
-@given(L=gaps, R1=radii, R2=radii)
-@settings(max_examples=100)
-def test_exchange_symmetry(L, R1, R2):
-    a = reduce(SphereGeometry(L=L, R1=R1, R2=R2))
-    b = reduce(SphereGeometry(L=L, R1=R2, R2=R1))
-    assert b.y == a.y
-    assert b.u == a.u
-    assert b.varpi == a.varpi
-    assert b.alpha1 == a.alpha2 and b.alpha2 == a.alpha1
+def test_exchange_symmetry():
+    # swapped radii give one object, so every value agrees to the bit and
+    # phi_u's memo holds one entry for both orders
+    for L, R1, R2 in ((1.0, 1.0, 2.0), (0.05, 1.0, 3.0), (2.0, 0.5, 7.0)):
+        a = reduce(SphereGeometry(L=L, R1=R1, R2=R2))
+        b = reduce(SphereGeometry(L=L, R1=R2, R2=R1))
+        assert a == b and hash(a) == hash(b)
+        assert _hex(_fields(a)) == _hex(_fields(b))
+        ded_a, ded_b = f_ded_total(a), f_ded_total(b)
+        assert _hex([ded_a.value, ded_a.error]) == _hex([ded_b.value, ded_b.error])
+        assert _hex([f_dvd_total(a)]) == _hex([f_dvd_total(b)])
+        assert _hex(dataclasses.astuple(capacitance_coeffs(a))) == \
+            _hex(dataclasses.astuple(capacitance_coeffs(b)))
+        phi_u(a, "dvd")
+        before = phi_u.cache_info()
+        assert phi_u(b, "dvd") == phi_u(a, "dvd")
+        after = phi_u.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
 
 @given(y=st.floats(min_value=1.0001, max_value=1e4),

@@ -229,6 +229,26 @@ def test_fit_result_json_roundtrip(tmp_path):
     assert back.seed == 3
 
 
+_GOOD = {"model": "dvd", "n": 1, "nu": [1.0], "mu": [2.0]}
+
+
+@pytest.mark.parametrize("text", [
+    "{}", "[]", "not json", b"\xff\xfe\x00", "null",
+    json.dumps({k: v for k, v in _GOOD.items() if k != "n"}),
+    json.dumps({**_GOOD, "nu": 1}),
+    json.dumps({**_GOOD, "nu": ["x"]}),
+    json.dumps({**_GOOD, "n": "one"}),
+    '{"model": "dvd", "n": Infinity, "nu": [1.0], "mu": [2.0]}',
+    json.dumps({**_GOOD, "nu": [10 ** 400]}),
+    json.dumps({**_GOOD, "grid_spec": 5}),
+], ids=["empty", "list", "not-json", "not-utf8", "null", "no-n", "nu-int", "nu-str", "n-str",
+        "n-inf", "nu-overflow", "grid-spec-int"])
+def test_fit_result_from_json_rejects_malformed_documents(text):
+    assert FitResult.from_json(json.dumps(_GOOD)).params.n == 1
+    with pytest.raises(DomainError):
+        FitResult.from_json(text)
+
+
 def test_builtin_params_lookup():
     assert builtin_params("dvd") is DVD_PARAMS
     assert builtin_params("ded") is DED_PARAMS
