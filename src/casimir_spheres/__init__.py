@@ -18,9 +18,9 @@ from .drude import (CapacitanceMatrix, capacitance_coeffs, f1_dvd,
                     f_dvd_dipole, f_dvd_total)
 from .electrolyte import (QuadratureSettings, ValueWithError, f1_ded,
                           f_ded_dipole, f_ded_roundtrip, f_ded_total)
-from .rational import (DED_PARAMS, DVD_PARAMS, FitResult,
-                       RationalModelParams, builtin_params, f_approx,
-                       max_deviation, phi_rm, phi_u, refit)
+from .rational import (DVD_PARAMS, FitResult, RationalModelParams,
+                       builtin_params, f_approx, max_deviation, phi_rm,
+                       phi_u, refit)
 from . import validation
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "f_dvd_total",
     "QuadratureSettings", "ValueWithError", "f1_ded", "f_ded_dipole",
     "f_ded_roundtrip", "f_ded_total",
-    "DED_PARAMS", "DVD_PARAMS", "FitResult", "RationalModelParams",
+    "DVD_PARAMS", "FitResult", "RationalModelParams",
     "builtin_params", "f_approx", "max_deviation", "phi_rm", "phi_u",
     "refit", "validation",
 ]

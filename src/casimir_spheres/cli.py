@@ -327,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_tol(p):
         """``--tol``, on the subcommands that sum totals: ``fit`` and ``validate`` sum none."""
         p.add_argument("--tol", type=_checked(float, lambda t: 0.0 < t < 1.0, "lie in (0, 1)"),
-                       default=1e-4, help="relative accuracy target for summed quantities")
+                       default=1e-4,
+                       help="relative bound on ded's change from N0 to its 1.5 N0 rows, which it "
+                            "always runs; the series are summed to min(tol, 1e-10)")
 
     pc = sub.add_parser("compute", help="evaluate one geometry")
     pc.add_argument("--L", type=float, default=None, help="surface gap")

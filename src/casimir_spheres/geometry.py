@@ -168,21 +168,8 @@ def reduce(geom: SphereGeometry) -> ReducedGeometry:
     return ReducedGeometry(1.0 + x + 0.5 * u * x * x, u)
 
 
-def from_invariants(y: float, u: float) -> ReducedGeometry:
-    """The :class:`ReducedGeometry` of (y, u); the same as ``ReducedGeometry(y, u)``.
-
-    Parameters
-    ----------
-    y : float
-        Conformal invariant, > 1.
-    u : float
-        Radius-ratio parameter in [0, 1/4].
-
-    Returns
-    -------
-    ReducedGeometry
-    """
-    return ReducedGeometry(y, u)
+#: The :class:`ReducedGeometry` of (y, u); ``bench/`` and the tests build it by this name.
+from_invariants = ReducedGeometry
 
 
 def free_energy_si(f: float, T: float) -> tuple[float, float, float]:

@@ -35,7 +35,6 @@ __all__ = [
     "RationalModelParams",
     "FitResult",
     "DVD_PARAMS",
-    "DED_PARAMS",
     "builtin_params",
     "phi_rm",
     "phi_u",
@@ -53,9 +52,9 @@ class RationalModelParams:
     Parameters
     ----------
     nu : tuple of float
-        Positive zero parameters, one per factor, at least one.
+        Finite positive zero parameters, one per factor, at least one.
     mu : tuple of float
-        Positive pole parameters, as many as ``nu``.
+        Finite positive pole parameters, as many as ``nu``.
     model_tag : str
         Which model the parameters were fitted for; its registry entry
         must carry an approximant.
@@ -69,8 +68,9 @@ class RationalModelParams:
         if not 1 <= len(self.nu) == len(self.mu):
             raise DomainError("nu and mu must hold equally many values, at least one; "
                               f"got {len(self.nu)} and {len(self.mu)}")
-        if any(v <= 0 for v in self.nu) or any(v <= 0 for v in self.mu):
-            raise DomainError("all nu_k and mu_k must be positive")
+        if not all(0.0 < v < math.inf for v in (*self.nu, *self.mu)):
+            raise DomainError("all nu_k and mu_k must be finite and positive, "
+                              f"got {self.nu} and {self.mu}")
         if self.model_tag not in APPROX_MODELS:
             raise DomainError(f"model_tag must be one of {APPROX_MODELS}, got {self.model_tag!r}")
 
@@ -90,8 +90,7 @@ class RationalModelParams:
 
 # built-in parameters, as the model registry declares them
 _BUILTIN = {name: RationalModelParams(*MODELS[name].approx, name) for name in APPROX_MODELS}
-DVD_PARAMS = _BUILTIN["dvd"]
-DED_PARAMS = _BUILTIN["ded"]
+DVD_PARAMS = _BUILTIN["dvd"]  # bench/workloads.py reads this name; elsewhere builtin_params("dvd")
 
 
 def builtin_params(model: str) -> RationalModelParams:
@@ -193,7 +192,10 @@ def phi_u(red: ReducedGeometry, model: str) -> float:
 
 
 def default_fit_grid(points: int = 200, lo: float = 1e-2, hi: float = 10.0) -> np.ndarray:
-    """Log-spaced y values with y - 1 spanning [lo, hi]."""
+    """``points`` >= 2 log-spaced y values, y - 1 spanning finite 0 < lo < hi; else DomainError."""
+    if not (0.0 < lo < hi < math.inf and points >= 2):
+        raise DomainError("fit grid needs finite 0 < lo < hi and points >= 2, "
+                          f"got lo = {lo}, hi = {hi}, points = {points}")
     return 1.0 + np.logspace(math.log10(lo), math.log10(hi), points)
 
 

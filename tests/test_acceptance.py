@@ -18,8 +18,7 @@ from casimir_spheres.electrolyte import f1_ded, f_ded_roundtrip, f_ded_total
 from casimir_spheres.errors import ConvergenceError
 from casimir_spheres.geometry import from_invariants
 from casimir_spheres.models import get_model
-from casimir_spheres.rational import (DED_PARAMS, DVD_PARAMS, phi_rm, phi_u,
-                                      refit)
+from casimir_spheres.rational import builtin_params, phi_rm, phi_u, refit
 from casimir_spheres.scalar import ZETA3, f_sc_roundtrip, f_sc_total
 from casimir_spheres.validation import (banded_determinant_deviations,
                                         planewave_r1_deviations)
@@ -211,7 +210,7 @@ def test_criterion_6_determinant_oracle():
 def test_criterion_7_builtin_deviation_ded(ded_phi_table):
     worst = 0.0
     for u in GRID_U:
-        dev = np.abs(ded_phi_table[u] / phi_rm(GRID_Y, DED_PARAMS) - 1.0)
+        dev = np.abs(ded_phi_table[u] / phi_rm(GRID_Y, builtin_params("ded")) - 1.0)
         worst = max(worst, float(dev.max()))
     ok = worst <= 2e-3
     assert report("criterion 7 (built-in ded)", ok, f"epsilon {worst:.2e} <= 2e-3")
@@ -220,7 +219,7 @@ def test_criterion_7_builtin_deviation_ded(ded_phi_table):
 def test_criterion_7_builtin_deviation_dvd(dvd_phi_table):
     worst = 0.0
     for u in GRID_U:
-        dev = np.abs(dvd_phi_table[u] / phi_rm(GRID_Y, DVD_PARAMS) - 1.0)
+        dev = np.abs(dvd_phi_table[u] / phi_rm(GRID_Y, builtin_params("dvd")) - 1.0)
         worst = max(worst, float(dev.max()))
     ok = worst <= 9e-3
     assert report("criterion 7 (built-in DvD)", ok, f"epsilon {worst:.2e} <= 9e-3")

@@ -1,11 +1,13 @@
+import collections
 import dataclasses
 import json
+import math
 import re
 import threading
 
 import pytest
 
-from casimir_spheres import cli
+from casimir_spheres import cli, validation
 from casimir_spheres.cli import main
 from casimir_spheres.electrolyte import ValueWithError
 from casimir_spheres.errors import FitError
@@ -181,6 +183,29 @@ def test_totals_flags_checked_before_output(tmp_path, capsys, argv, config, flag
     assert flag in out.err
 
 
+@pytest.mark.parametrize("y", ["2", "3"])
+def test_compute_ded_meets_any_tol(capsys, y):
+    # ded takes its value at the second truncation, whose roundoff bound meets any
+    # tol: the change from the first is 0 at y = 2 and 3.5e-18 at y = 3
+    assert main(["compute", "--y", y, "--u", "0.1", "--model", "ded", "--tol", "1e-300"]) == 0
+    assert re.search(r"model=ded: f1 = \S+  f = ", capsys.readouterr().out)
+
+
+def test_curve_keeps_a_failed_ded_point_to_itself(capsys):
+    # u = 1e-300 (f1_ded overflows) and u = 0.1 share one recursion per y:
+    # the failure writes nan rows for its own u only
+    assert main(["curve", "--model", "ded", "--quantity", "f", "--u", "1e-300,0.1",
+                 *GRID, "--out", "-"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[4:]]
+    assert [row[:4] for row in rows] == [[dy, u, "ded", "f"] for u in ("1e-300", "0.1")
+                                         for dy in ("1", "2")]
+    assert all(row[4:] == ["nan", "nan"] for row in rows[:2]), rows
+    assert all(math.isfinite(float(row[4])) and float(row[4]) > 0 for row in rows[2:]), rows
+    assert main(["compute", "--model", "ded", "--y", "2", "--u", "0.1"]) == 0
+    f = re.search(r" f = (\S+)", capsys.readouterr().out).group(1)
+    assert rows[2][4] == f  # y - 1 = 1: both print 12 significant digits
+
+
 def test_curve_determinism_and_format(tmp_path, capsys):
     out_path = tmp_path / "data.csv"
     args = ["curve", "--model", "dvd", "--quantity", "f", "--u", "0,0.25",
@@ -346,6 +371,15 @@ def test_validate_bounds_phi_by_zeta3(monkeypatch, capsys):
     assert out.count("[FAIL] phi_ded") == 2
 
 
+def test_validate_labels_planewave_lines_by_registry_name(monkeypatch, capsys):
+    # the quadrature takes seconds; its closed form passes, and the labels are the subject
+    monkeypatch.setattr(validation, "f_roundtrip_planewave",
+                        lambda name, red, r: ValueWithError(MODELS[name].f1(red), 0.0))
+    assert main(["validate"]) == 0
+    names = re.findall(r"^\[PASS\] plane-wave r=1 (\S+) ", capsys.readouterr().out, re.M)
+    assert collections.Counter(names) == {name: 3 for name in MODELS}
+
+
 def test_config_checks_choices_before_output(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"model": "bogus", "y": 2, "u": 0.1}))
@@ -448,10 +482,18 @@ def test_fit_rejects_bad_grid(grid, capsys):
     assert grid[0].lstrip("-") in capsys.readouterr().err
 
 
+def test_fit_grid_of_at_most_2n_points_exits_2(capsys):
+    assert main(["fit", "--model", "dvd", "--points", "2", "--n", "3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "more than 2n = 6" in out.err
+
+
 @pytest.mark.parametrize("content", [None, "not json", json.dumps({"model": "dvd", "n": 2}),
                                      json.dumps({"model": "ded", "n": 1, "nu": [1.0], "mu": [1.0]}),
                                      json.dumps({"model": "dvd", "n": 3, "nu": [1.0, 2.0],
-                                                 "mu": [1.0, 2.0]})])
+                                                 "mu": [1.0, 2.0]}),
+                                     '{"model": "dvd", "n": 1, "nu": [NaN], "mu": [Infinity]}',
+                                     '{"model": "dvd", "n": 1, "nu": [1.0], "mu": [NaN]}'])
 def test_curve_f_approx_rejects_bad_params_file(tmp_path, capsys, content):
     params = tmp_path / "p.json"
     if content is not None:

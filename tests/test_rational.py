@@ -11,7 +11,7 @@ from casimir_spheres.cli import build_parser
 from casimir_spheres.errors import ConvergenceError, DomainError, FitError
 from casimir_spheres.geometry import from_invariants
 from casimir_spheres.models import MODELS
-from casimir_spheres.rational import (DED_PARAMS, DVD_PARAMS, FitResult,
+from casimir_spheres.rational import (DVD_PARAMS, FitResult,
                                       RationalModelParams, builtin_params,
                                       default_fit_grid, f_approx,
                                       max_deviation, phi_rm, phi_u, refit)
@@ -26,24 +26,32 @@ def test_params_validation():
         RationalModelParams(nu=(1.0,), mu=(-1.0,), model_tag="dvd")
     with pytest.raises(DomainError):
         RationalModelParams(nu=(1.0,), mu=(1.0, 2.0), model_tag="ded")
+    # NaN passes a "v <= 0" check, and an infinite parameter makes phi_rm nan or 0
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite and positive"):
+            RationalModelParams(nu=(bad,), mu=(1.0,), model_tag="dvd")
+        with pytest.raises(DomainError, match="finite and positive"):
+            RationalModelParams(nu=(1.0,), mu=(bad,), model_tag="dvd")
 
 
 def test_builtin_contact_values():
     # products of nu/mu land at Apery's constant, the contact limit
-    assert DVD_PARAMS.contact_value == pytest.approx(
+    dvd, ded = builtin_params("dvd"), builtin_params("ded")
+    assert dvd.contact_value == pytest.approx(
         (0.011495 / 0.011359) * (0.19868 / 0.16728), rel=1e-12)
-    assert DVD_PARAMS.contact_value == pytest.approx(1.2019, abs=2e-4)
-    assert DED_PARAMS.contact_value == pytest.approx(
+    assert dvd.contact_value == pytest.approx(1.2019, abs=2e-4)
+    assert ded.contact_value == pytest.approx(
         (0.004618 / 0.004415) * (0.09639 / 0.08397), rel=1e-12)
-    assert DED_PARAMS.contact_value == pytest.approx(1.2007, abs=2e-4)
-    for params in (DVD_PARAMS, DED_PARAMS):
+    assert ded.contact_value == pytest.approx(1.2007, abs=2e-4)
+    for params in (dvd, ded):
         assert params.contact_value == pytest.approx(ZETA3, abs=2e-3)
 
 
 def test_phi_rm_limits():
-    assert phi_rm(1.0, DVD_PARAMS) == pytest.approx(DVD_PARAMS.contact_value, rel=1e-14)
-    assert phi_rm(1e4, DVD_PARAMS) == 1.0
-    assert phi_rm(50.0, DED_PARAMS) == pytest.approx(1.0, abs=1e-12)
+    dvd = builtin_params("dvd")
+    assert phi_rm(1.0, dvd) == pytest.approx(dvd.contact_value, rel=1e-14)
+    assert phi_rm(1e4, dvd) == 1.0
+    assert phi_rm(50.0, builtin_params("ded")) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(
@@ -80,28 +88,29 @@ def test_phi_u_monotone_for_dvd():
 def test_max_deviation_degenerate_self_test():
     # comparing phi_rm against itself gives exactly zero
     grid = [(2.0, 0.1), (3.0, 0.25)]
-    vals = {(y, u): phi_rm(y, DED_PARAMS) for (y, u) in grid}
+    params = builtin_params("ded")
+    vals = {(y, u): phi_rm(y, params) for (y, u) in grid}
 
     class Exact:
         pass
 
     # feed phi_u values equal to the model by monkeypatching is heavier
     # than needed: evaluate the deviation definition directly instead
-    worst = max(abs(vals[(y, u)] / phi_rm(y, DED_PARAMS) - 1.0) for (y, u) in grid)
+    worst = max(abs(vals[(y, u)] / phi_rm(y, params) - 1.0) for (y, u) in grid)
     assert worst == 0.0
 
 
 def test_max_deviation_small_on_modest_grid():
     grid = [(y, u) for y in (1.5, 2.0, 4.0) for u in (0.1, 0.25)]
-    dev = max_deviation(DED_PARAMS, "ded", grid)
+    dev = max_deviation(builtin_params("ded"), "ded", grid)
     assert dev < 2e-3
-    dev_dvd = max_deviation(DVD_PARAMS, "dvd", grid)
+    dev_dvd = max_deviation(builtin_params("dvd"), "dvd", grid)
     assert dev_dvd < 9e-3
 
 
 def test_max_deviation_empty_grid():
     with pytest.raises(DomainError):
-        max_deviation(DED_PARAMS, "ded", [])
+        max_deviation(builtin_params("ded"), "ded", [])
 
 
 def test_refit_dvd_beats_builtin_locally_and_n1_is_worse():
@@ -148,6 +157,18 @@ def test_seeded_refit_reaches_the_optimum(model, bound):
     seeded = refit(model, 0.1, n=1, grid=grid, seed=1)
     assert seeded.epsilon < bound
     assert seeded.epsilon == pytest.approx(refit(model, 0.1, n=1, grid=grid).epsilon, rel=1e-6)
+
+
+@pytest.mark.parametrize("points, lo, hi", [(10, math.nan, 10.0), (10, 1e-2, math.nan),
+                                             (10, 1e-2, math.inf), (10, 0.0, 10.0),
+                                             (10, -1.0, 10.0), (10, 5.0, 5.0), (10, 5.0, 1.0),
+                                             (1, 1e-2, 10.0)])
+def test_default_fit_grid_rejects_bad_bounds(points, lo, hi):
+    # a nan bound gave a grid of nan with numpy's RuntimeWarning, an infinite one a grid of inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="fit grid"):
+            default_fit_grid(points, lo, hi)
 
 
 def _has_phi(y, u, model):
@@ -217,13 +238,13 @@ def test_f_approx_matches_total_within_epsilon():
 
 
 def test_fit_result_json_roundtrip(tmp_path):
-    fit = FitResult(params=DED_PARAMS, epsilon=1.2e-3,
+    fit = FitResult(params=builtin_params("ded"), epsilon=1.2e-3,
                     grid_spec={"u_ref": 0.15, "points": 100}, seed=3)
     text = fit.to_json()
     doc = json.loads(text)
     assert set(doc) == {"model", "n", "nu", "mu", "epsilon", "grid_spec", "seed"}
     back = FitResult.from_json(text)
-    assert back.params == DED_PARAMS
+    assert back.params == builtin_params("ded")
     assert back.epsilon == fit.epsilon
     assert back.grid_spec == fit.grid_spec
     assert back.seed == 3
@@ -241,8 +262,11 @@ _GOOD = {"model": "dvd", "n": 1, "nu": [1.0], "mu": [2.0]}
     '{"model": "dvd", "n": Infinity, "nu": [1.0], "mu": [2.0]}',
     json.dumps({**_GOOD, "nu": [10 ** 400]}),
     json.dumps({**_GOOD, "grid_spec": 5}),
+    '{"model": "dvd", "n": 1, "nu": [NaN], "mu": [Infinity]}',
+    '{"model": "dvd", "n": 1, "nu": [1.0], "mu": [NaN]}',
+    '{"model": "dvd", "n": 1, "nu": [Infinity], "mu": [2.0]}',
 ], ids=["empty", "list", "not-json", "not-utf8", "null", "no-n", "nu-int", "nu-str", "n-str",
-        "n-inf", "nu-overflow", "grid-spec-int"])
+        "n-inf", "nu-overflow", "grid-spec-int", "nu-nan-mu-inf", "mu-nan", "nu-inf"])
 def test_fit_result_from_json_rejects_malformed_documents(text):
     assert FitResult.from_json(json.dumps(_GOOD)).params.n == 1
     with pytest.raises(DomainError):
@@ -251,7 +275,6 @@ def test_fit_result_from_json_rejects_malformed_documents(text):
 
 def test_builtin_params_lookup():
     assert builtin_params("dvd") is DVD_PARAMS
-    assert builtin_params("ded") is DED_PARAMS
     with pytest.raises(DomainError):
         builtin_params("scalar")
     with pytest.raises(DomainError):
