@@ -168,16 +168,17 @@ def cmd_curve(args) -> int:
         total_us = list(dict.fromkeys(u_values + [0.25]))
 
     @functools.cache
-    def totals(model, y):
-        # every total of one (model, y), failed ones too, is evaluated in one
-        # call when a row first reads one of them: ded runs one recursion for
-        # all the u; f1 and f_approx rows read none
-        return {u: (math.nan, math.nan) if isinstance(res, ConvergenceError)
+    def totals(model):
+        # every total of one model, failed ones too, is evaluated in one call
+        # when a row first reads one of them: ded runs its points in a few
+        # recursions; f1 and f_approx rows read none
+        points = [(y, u) for y in ys for u in total_us]
+        return {point: (math.nan, math.nan) if isinstance(res, ConvergenceError)
                 else (res.value, res.error)
-                for u, res in zip(total_us, get_model(model).totals(y, total_us, tol=args.tol))}
+                for point, res in zip(points, get_model(model).totals(points, tol=args.tol))}
 
     def total(model, y, u):
-        return totals(model, y)[u]
+        return totals(model)[y, u]
 
     def point(model, y, u):
         try:

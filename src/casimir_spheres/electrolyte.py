@@ -18,6 +18,7 @@ r = exp(-2 mu_i).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -53,6 +54,9 @@ _EPS = sys.float_info.epsilon
 # would pass this many cells, which bounds its memory near contact
 _CLOSURE_ROWS = 16
 _CLOSURE_CELLS = 2**16
+# (point, z, row) cells of one recursion's state, unless one y's points need more;
+# larger states ran no faster on criterion 7's grid and took more memory
+_STATE_CELLS = 2**12
 
 
 @dataclass(frozen=True)
@@ -224,32 +228,44 @@ def _row_counts(red: ReducedGeometry) -> tuple:
 def _checkpoints(reds, z, rows):
     """Schur recursion of det K over the rows n, vectorised over the points, z and m.
 
-    ``reds`` are points of one y, so they share varpi and the truncations.
-    The state's axes are (point, z, m); each point has its own mu_i,
-    pivots and closures.  Returns one (N, log_det, size) per row count N of
-    the increasing ``rows``, from the truncation closed at N rows:
-    log_det[p, k] = sum_m (2 - delta_m0) log det(1 - z[k] M_m) of point p,
-    and size[p] the largest over k of such sums of the steps' absolute
-    values.
+    ``reds`` are points of any y and ``rows[p]`` the increasing row counts
+    of point p.  The state's axes are (point, z, m); each point has its own
+    varpi, mu_i, pivots and closures.  The points run deepest first, so the
+    ones still open are a prefix of the state, and a point leaves it after
+    its last truncation.  Returns, per point p of ``reds``, one
+    (N, log_det, size) per row count N of ``rows[p]``, from the truncation
+    closed at N rows: log_det[k] = sum_m (2 - delta_m0) log det(1 - z[k] M_m),
+    and size the largest over k of such sums of the steps' absolute values.
     """
-    mus = np.array([_sphere_mus(red) for red in reds])
-    # one closure per distinct sphere of the batch
-    uniq, which = np.unique(mus, return_inverse=True)
+    order = sorted(range(len(reds)), key=lambda p: -rows[p][-1])
+    lasts = [rows[p][-1] for p in order]
+    closing = {}
+    for i, p in enumerate(order):
+        for n_rows in rows[p]:
+            closing.setdefault(n_rows, []).append(i)
+    # e = exp(-(n + 1/2) varpi) of each distinct varpi and row n, from math, as
+    # numpy's exp may round differently; and which varpi each point has
+    varpis = {}
+    which_v = np.array([varpis.setdefault(reds[p].varpi, len(varpis)) for p in order])
+    exps = np.array([[math.exp(-(n + 0.5) * v) for n in range(lasts[0])] for v in varpis])
+    mus = np.array([_sphere_mus(reds[p]) for p in order])
     # cosh mu_i, sinh mu_i and sinh(mu_i)/2 of each sphere, shaped (point, 1, 1);
     # floats for one point, which spares every row the indexing
+    single = len(reds) == 1
     ch, sh = np.cosh(mus), np.sinh(mus)
     sph = [(ch[:, i], sh[:, i], 0.5 * sh[:, i]) for i in (0, 1)]
-    sph = ([[float(v[0]) for v in col] for col in sph] if len(reds) == 1
+    sph = ([[float(v[0]) for v in col] for col in sph] if single
            else [[v.reshape(-1, 1, 1) for v in col] for col in sph])
     z = np.asarray(z).reshape(1, -1, 1)
     # per (point, z, m): G = D - diag(a1, a2) of the last row, det D - a1 a2,
     # the sum of the steps and of their absolute values; per (point, m)
     # the pivots a1, a2
-    state = np.zeros((7, len(reds), z.shape[1], rows[-1]), dtype=complex)
-    pivots = np.ones((2, len(reds), 1, rows[-1]))
-    out, e_p = [], 0.0
+    state = np.zeros((7, len(reds), z.shape[1], lasts[0]), dtype=complex)
+    pivots = np.ones((2, len(reds), 1, lasts[0]))
+    out, live = [[] for _ in reds], len(reds)
+    e_p = 0.0 if single else np.zeros((live, 1, 1))
 
-    def row(n, c, e, add, prev, a1, a2):
+    def row(n, c, add, e, e_p, sph, prev, a1, a2):
         (ch1, sh1, hs1), (ch2, sh2, hs2) = sph
         g11, g12, g21, g22, dl, acc, size = prev
         al1 = (n + 0.5) * ch1 + hs1 + add[0]
@@ -279,56 +295,95 @@ def _checkpoints(reds, z, rows):
         return (np.stack([n11, n12, n21, n22, ndl, acc + term, size.real + np.abs(term)]),
                 np.stack([na1, na2]))
 
-    for n in range(rows[-1]):
+    for n in range(lasts[0]):
         # row n brings in the azimuthal index m = n
         mm = np.arange(n + 1.0)
         c = (n - mm) * (n + mm) / 4.0  # J[n, n-1] J[n-1, n]; 0 on the first row of each m
-        e = math.exp(-(n + 0.5) * reds[0].varpi)
-        prev, piv = state[..., :n + 1], pivots[..., :n + 1]
-        if n + 1 in rows:
-            # the closures of both spheres of every point, shaped (sphere, point, 1, m)
-            ratios = _closures(uniq, n)[which.reshape(mus.shape)]
+        e = float(exps[0, n]) if single else exps[which_v[:live], n].reshape(-1, 1, 1)
+        prev, piv = state[:, :live, :, :n + 1], pivots[:, :live, :, :n + 1]
+        if n + 1 in closing:
+            shut = closing[n + 1]
+            # the open points that close here: all of them for a single point
+            args = ((e, e_p, sph, prev, *piv) if len(shut) == live else
+                    (e[shut], e_p[shut], [[v[shut] for v in col] for col in sph],
+                     prev[:, shut], *piv[:, shut]))
+            # the closures of both spheres of those points, shaped (sphere, point, 1, m)
+            uniq, which = np.unique(mus[shut], return_inverse=True)
+            ratios = _closures(uniq, n)[which.reshape(-1, 2)]
             add = -0.5 * (n + mm + 1.0) * ratios.swapaxes(0, 1)[:, :, None]
-            closed = row(n, c, e, add, prev, *piv)[0]
+            closed = row(n, c, add, *args)[0]
             w = np.where(mm == 0, 1.0, 2.0)
-            out.append((n + 1, (closed[5] * w).sum(axis=-1),
-                        (closed[6].real * w).sum(-1).max(axis=-1)))
-            if n + 1 == rows[-1]:
+            log_det = (closed[5] * w).sum(axis=-1)
+            size = (closed[6].real * w).sum(-1).max(axis=-1)
+            for k, i in enumerate(shut):
+                out[order[i]].append((n + 1, log_det[k], size[k]))
+        if lasts[live - 1] == n + 1:
+            # the points whose last truncation closed here leave the state
+            live = lasts.index(n + 1)
+            if not live:
                 return out
-        state[..., :n + 1], pivots[..., :n + 1] = row(n, c, e, (0.0, 0.0), prev, *piv)
+            sph = [[v[:live] for v in col] for col in sph]
+            e, e_p, prev, piv = e[:live], e_p[:live], prev[:, :live], piv[:, :live]
+        state[:, :live, :, :n + 1], pivots[:, :live, :, :n + 1] = row(
+            n, c, (0.0, 0.0), e, e_p, sph, prev, *piv)
         e_p = e
 
 
+def _groups(reds, rows: dict, nz: int) -> list:
+    """The indices p of ``rows``, a point of ``reds`` each, split into the
+    batches of one recursion each.
+
+    A batch starts at the deepest point left, by its last row count N, and
+    holds that y's points, or more, as long as its state keeps at most
+    ``_STATE_CELLS`` (point, z, row) cells of ``nz`` values of z: so no
+    state passes the larger of that budget and one y's own batch.
+    """
+    # deepest first, the points of one y together
+    order = sorted(rows, key=lambda p: (-rows[p][-1], reds[p].varpi))
+    out = []
+    while order:
+        y, n_rows = reds[order[0]].y, rows[order[0]][-1]
+        own = sum(1 for _ in itertools.takewhile(lambda p: reds[p].y == y, order))
+        size = max(own, _STATE_CELLS // (nz * n_rows))
+        out.append(order[:size])
+        order = order[size:]
+    return out
+
+
 def _converged(reds, z, tol: float) -> list:
-    """Per point of one y, log_det at N1 ~ 1.5 N0 rows, checked against N0 rows.
+    """Per point of any y, log_det at N1 ~ 1.5 N0 rows, checked against N0 rows.
 
     Returns one entry per point of ``reds``: (log_det, change, roundoff),
     log_det's change from N0 to N1 rows and eps times N1 times the size,
     where the change is at most tol times |log_det| plus the roundoff.
     Elsewhere the entry is the :class:`ConvergenceError` that point met:
     a change above that bound, a non-finite change (the rows overflowed)
-    or, for every point, N1 past ``_MAX_ROWS``, raised before any row.
+    or N1 past ``_MAX_ROWS``, raised before any row.  The points run in
+    the batches of :func:`_groups`; a failed point leaves the others'
+    values unchanged.
     """
-    try:
-        rows = _row_counts(reds[0])
-    except ConvergenceError as exc:
-        return [ConvergenceError(*exc.args) for _ in reds]
-    out = []
+    out, rows = [None] * len(reds), {}
+    for p, red in enumerate(reds):
+        try:
+            rows[p] = _row_counts(red)
+        except ConvergenceError as exc:
+            out[p] = exc
     # near y = 1e308 the rows overflow, which shows as a non-finite change
     with np.errstate(over="ignore", invalid="ignore"):
-        (_, first, _), (n_rows, log_det, size) = _checkpoints(reds, z, rows)
-        roundoff = _EPS * n_rows * size
-        for p, red in enumerate(reds):
-            change = np.abs(log_det[p] - first[p])
-            bound = tol * np.abs(log_det[p]).max() + roundoff[p]
-            if not np.isfinite(change).all():
-                out.append(ConvergenceError(f"ded: the determinant overflowed at y = {red.y:.3g}"))
-            elif change.max() > bound:
-                out.append(ConvergenceError(
-                    f"ded: log det moved by {change.max():.3g} from {rows[0]} to {n_rows} rows at "
-                    f"y = {red.y:.3g}, u = {red.u:.3g}, more than its bound {bound:.3g}"))
-            else:
-                out.append((log_det[p], change, roundoff[p]))
+        for group in _groups(reds, rows, len(z)):
+            trunc = _checkpoints([reds[p] for p in group], z, [rows[p] for p in group])
+            for p, ((n0, first, _), (n1, log_det, size)) in zip(group, trunc):
+                red, change = reds[p], np.abs(log_det - first)
+                roundoff = _EPS * n1 * size
+                bound = tol * np.abs(log_det).max() + roundoff
+                if not np.isfinite(change).all():
+                    out[p] = ConvergenceError(f"ded: the determinant overflowed at y = {red.y:.3g}")
+                elif change.max() > bound:
+                    out[p] = ConvergenceError(
+                        f"ded: log det moved by {change.max():.3g} from {n0} to {n1} rows at "
+                        f"y = {red.y:.3g}, u = {red.u:.3g}, more than its bound {bound:.3g}")
+                else:
+                    out[p] = (log_det, change, roundoff)
     return out
 
 
@@ -433,7 +488,7 @@ def f_ded_total(
 
 
 def f_ded_totals(reds, tol: float = 1e-4) -> list:
-    """:func:`f_ded_total` at points of one y, from one recursion.
+    """:func:`f_ded_total` at points of any y, from a few recursions (see :func:`_converged`).
 
     Returns one entry per point of ``reds``: its :class:`ValueWithError`,
     bit-identical to the point's own :func:`f_ded_total`, or the

@@ -32,7 +32,7 @@ __all__ = ["Model", "MODELS", "APPROX_MODELS", "get_model"]
 class Model:
     """One model's entry points and reflection kernel.
 
-    ``raw_totals(reds, tol) -> list`` sums the points of one y and returns
+    ``raw_totals(reds, tol) -> list`` sums points of any y and returns
     each one's ``ValueWithError`` or :class:`ConvergenceError`; ``raw_f1(red)``
     is the library's closed form.  :meth:`total`, :meth:`totals` and
     :meth:`f1` return their values where they are positive and raise
@@ -59,15 +59,15 @@ class Model:
         keeps its default."""
         return _checked(red, self.raw_totals([red], **kwargs)[0])
 
-    def totals(self, y: float, us, **kwargs) -> list:
-        """:meth:`total` at each u of ``us`` at this y, one entry per u, from
-        one ``raw_totals`` call.
+    def totals(self, points, **kwargs) -> list:
+        """:meth:`total` at each (y, u) of ``points``, one entry per point,
+        from one ``raw_totals`` call.
 
         An entry is the checked ``ValueWithError`` or that point's own
-        :class:`ConvergenceError`; a :class:`DomainError` (a bad u or
-        ``tol``) is raised.  For ded one recursion serves every u.
+        :class:`ConvergenceError`; a :class:`DomainError` (a bad y, u or
+        ``tol``) is raised.  For ded one recursion serves many points.
         """
-        reds = [from_invariants(y, u) for u in us]
+        reds = [from_invariants(y, u) for y, u in points]
         return [_attempt(_checked, red, res)
                 for red, res in zip(reds, self.raw_totals(reds, **kwargs))]
 

@@ -154,16 +154,34 @@ def phi_rm(y, params: RationalModelParams):
     """Evaluate the rational approximant at y >= 1.
 
     Written in terms of exp(-(y-1)) so it stays finite (and tends to 1)
-    for arbitrarily large y.
+    for arbitrarily large y.  Raises :class:`ConvergenceError` where the
+    product of the factors underflows to 0 or overflows, as it can for
+    finite parameters far from 1 (mu_k = 1e300 at y = 2).
     """
     scalar = isinstance(y, float) or np.ndim(y) == 0
     y = float(y) if scalar else np.asarray(y, dtype=float)
     if (y < 1.0) if scalar else np.any(y < 1.0):
         raise DomainError("phi_rm requires y >= 1")
-    # a scalar y runs the product on floats, which skips numpy's 0-d overhead
     w = np.exp(-(y - 1.0))
     if scalar:
-        w = float(w)
+        # on floats, which skips numpy's 0-d overhead and its error state
+        try:
+            out = _rm_product(float(w), params)
+        except ZeroDivisionError:  # a pole at y = 1, where 1 + (mu_k - 1) rounds to 0
+            out = math.inf
+        ok = 0.0 < out < math.inf
+    else:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = _rm_product(w, params)
+        ok = np.all((out > 0.0) & (out < np.inf))
+    if not ok:
+        raise ConvergenceError(f"phi_rm: the product of the factors is 0 or inf for "
+                               f"nu = {params.nu}, mu = {params.mu}")
+    return out
+
+
+def _rm_product(w, params: RationalModelParams):
+    """prod_k (1 + (nu_k - 1) w) / (1 + (mu_k - 1) w), w = exp(-(y - 1))."""
     out = 1.0
     for nu_k, mu_k in zip(params.nu, params.mu):
         out = out * (1.0 + (nu_k - 1.0) * w) / (1.0 + (mu_k - 1.0) * w)
@@ -338,7 +356,8 @@ def refit(
 def max_deviation(params: RationalModelParams, model: str, grid) -> float:
     """Maximal |phi_u(y)/phi_rm(y) - 1| over a set of (y, u) samples.
 
-    Raises :class:`ConvergenceError` where phi_u has no value.
+    Raises :class:`ConvergenceError` where phi_u or phi_rm has no value,
+    or where the deviation overflows.
 
     Parameters
     ----------
@@ -357,6 +376,9 @@ def max_deviation(params: RationalModelParams, model: str, grid) -> float:
     for y, u in pairs:
         p = phi_u(from_invariants(y, u), model)
         worst = max(worst, abs(p / phi_rm(y, params) - 1.0))
+    if worst == math.inf:  # phi_rm far below phi_u
+        raise ConvergenceError(f"the deviation of phi_rm from phi_u overflows for "
+                               f"nu = {params.nu}, mu = {params.mu}")
     return float(worst)
 
 
@@ -366,7 +388,12 @@ def f_approx(red: ReducedGeometry, model: str,
 
     Accurate to the parameters' epsilon relative to the full sum.
     Raises :class:`DomainError` for a model without an approximant and
-    :class:`ConvergenceError` where f1 is not positive.
+    :class:`ConvergenceError` where f1 is not positive, where phi_rm has
+    no value or where their product leaves the double range.
     """
     builtin = builtin_params(model)
-    return get_model(model).f1(red) * phi_rm(red.y, builtin if params is None else params)
+    out = get_model(model).f1(red) * phi_rm(red.y, builtin if params is None else params)
+    if not 0.0 < out < math.inf:
+        raise ConvergenceError(f"f_approx = f1 phi_rm = {out:.3g} at y = {red.y:.6g} "
+                               "leaves the double range")
+    return out

@@ -178,5 +178,5 @@ def banded_determinant_deviations():
     """
     for ym1, u in ((0.05, 0.0), (0.1, 0.04), (0.5, 0.25), (1.0, 0.1), (3.0, 0.016)):
         red = from_invariants(1.0 + ym1, u)
-        [(n_rows, log_det, _)] = _checkpoints([red], [1.0], _row_counts(red)[:1])
-        yield ym1, u, float(abs(_dense_log_det(red, n_rows) / log_det[0, 0].real - 1.0))
+        [[(n_rows, log_det, _)]] = _checkpoints([red], [1.0], [_row_counts(red)[:1]])
+        yield ym1, u, float(abs(_dense_log_det(red, n_rows) / log_det[0].real - 1.0))

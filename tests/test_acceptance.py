@@ -46,11 +46,12 @@ def _value(res):
 
 
 def _tables(model, ys, us):
-    """{u: (f, phi)} over ``ys``, from one ``Model.totals`` call per y: the
-    ded engine runs one recursion for every u of a y.  phi = f/f1 is
-    formed as ``phi_u`` forms it."""
+    """{u: (f, phi)} over ``ys``, from one ``Model.totals`` call over the
+    grid: the ded engine runs its points in a few recursions.  phi = f/f1
+    is formed as ``phi_u`` forms it."""
     m = get_model(model)
-    f = np.array([[_value(res) for res in m.totals(float(y), us)] for y in ys])
+    points = [(float(y), u) for y in ys for u in us]
+    f = np.array([_value(res) for res in m.totals(points)]).reshape(len(ys), len(us))
     f1 = np.array([[m.f1(from_invariants(float(y), u)) for u in us] for y in ys])
     return {u: (f[:, k], f[:, k] / f1[:, k]) for k, u in enumerate(us)}
 

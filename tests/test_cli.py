@@ -241,7 +241,7 @@ def test_curve_evaluates_each_total_once_on_calling_thread(monkeypatch, capsys):
 
     def counted(name):
         def totals(reds, tol):
-            batches.append((name, reds[0].y, [red.u for red in reds]))
+            batches.append((name, [(red.y, red.u) for red in reds]))
             calls.extend((threading.current_thread(), (name, red.y, red.u)) for red in reds)
             return [ValueWithError(1.0, 0.0) for _ in reds]
         return totals
@@ -257,9 +257,9 @@ def test_curve_evaluates_each_total_once_on_calling_thread(monkeypatch, capsys):
     assert len(keys) == len(set(keys)) == 27
     assert {u for *_, u in keys} == {0.0, 0.1, 0.25}
     assert {thread for thread, _ in calls} == {threading.current_thread()}
-    # every model sums the three u of each y in one batch
-    assert sorted(batches) == [(name, y, [0.0, 0.1, 0.25])
-                               for name in sorted(MODELS) for y in (2.0, 3.0, 5.0)]
+    # every model sums all its points in one batch
+    assert sorted(batches) == [(name, [(y, u) for y in (2.0, 3.0, 5.0) for u in (0.0, 0.1, 0.25)])
+                               for name in sorted(MODELS)]
 
 
 @pytest.mark.parametrize("quantity", ["f1", "f_approx"])

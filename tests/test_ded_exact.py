@@ -95,11 +95,11 @@ def _record():
     for dy, u in POINTS:
         red = from_invariants(1.0 + dy, u)
         n0, n1 = electrolyte._row_counts(red)
-        trunc = electrolyte._checkpoints([red], [1.0, 1j * electrolyte._STEP],
-                                         (n0, n1, math.ceil(1.5 * n1)))
-        f = [-0.5 * log_det[0, 0].real for _, log_det, _ in trunc]
+        [trunc] = electrolyte._checkpoints([red], [1.0, 1j * electrolyte._STEP],
+                                           [(n0, n1, math.ceil(1.5 * n1))])
+        f = [-0.5 * log_det[0].real for _, log_det, _ in trunc]
         rows.append({"y_minus_1": dy, "u": u, "rows": trunc[2][0], "f": f[2],
-                     "f1": -0.5 * trunc[2][1][0, 1].imag / electrolyte._STEP,
+                     "f1": -0.5 * trunc[2][1][1].imag / electrolyte._STEP,
                      "change": max(abs(f[1] - f[0]), abs(f[2] - f[1])) / f[2]})
     DATA.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
     return rows

@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from casimir_spheres import electrolyte
 from casimir_spheres.electrolyte import (QuadratureSettings, f1_ded, f_ded_dipole,
@@ -275,84 +277,172 @@ def test_checkpoints_close_each_truncation_once(monkeypatch):
     calls, real = [], electrolyte._closures
     monkeypatch.setattr(electrolyte, "_closures", lambda mus, last: calls.append((list(mus), last))
                         or real(mus, last))
-    reds = [from_invariants(1.5, u) for u in (0.25, 0.0, 0.1, 0.1, 0.04)]
-    truncations = [10, 15, 23]
-    assert [n for n, *_ in electrolyte._checkpoints(reds, [1.0], truncations)] == truncations
-    assert [last + 1 for _, last in calls] == truncations
-    spheres = {mu for red in reds for mu in electrolyte._sphere_mus(red)}
-    # every distinct sphere once: the repeated u = 0.1 and u = 1/4's pair share a closure
-    for mus, _ in calls:
-        assert sorted(mus) == sorted(spheres)
+    near = [from_invariants(1.5, u) for u in (0.25, 0.0, 0.1, 0.1, 0.04)]
+    far = [from_invariants(3.0, u) for u in (0.1, 0.25)]
+    reds = [far[0], *near, far[1]]
+    rows = [(8, 15)] + [(10, 15, 23)] * 5 + [(8, 15)]
+    trunc = electrolyte._checkpoints(reds, [1.0], rows)
+    assert [tuple(n for n, *_ in t) for t in trunc] == rows
+    assert [last + 1 for _, last in calls] == [8, 10, 15, 23]
+
+    def spheres(points):
+        return sorted({mu for red in points for mu in electrolyte._sphere_mus(red)})
+
+    # every distinct sphere that closes at a row once: the repeated u = 0.1
+    # and u = 1/4's pair share a closure
+    assert [sorted(mus) for mus, _ in calls] == [spheres(far), spheres(near),
+                                                 spheres(reds), spheres(near)]
 
 
 # ---------------------------------------------------------------------------
-# one recursion for every u at one y
+# one recursion for points of any y
 
 
 @pytest.fixture
 def checkpoints_seen(monkeypatch):
-    """(rows, points in the batch) of each truncation the recursion returns."""
+    """Per recursion, the row counts of each of its points."""
     seen, real = [], electrolyte._checkpoints
 
     def spy(reds, z, rows):
         out = real(reds, z, rows)
-        seen.extend((n_rows, len(log_det)) for n_rows, log_det, _ in out)
+        seen.append([tuple(n_rows for n_rows, *_ in trunc) for trunc in out])
         return out
 
     monkeypatch.setattr(electrolyte, "_checkpoints", spy)
     return seen
 
 
+def _alone(y, u, tol=1e-4):
+    """The point's own ``f_ded_total``, or the error it raises."""
+    try:
+        return f_ded_total(from_invariants(y, u), tol=tol)
+    except ConvergenceError as exc:
+        return exc
+
+
+def _same(got, want):
+    """Equal values and errors bit for bit, or errors of one type and message."""
+    if isinstance(want, ConvergenceError):
+        return type(got) is type(want) and str(got) == str(want)
+    return got == want
+
+
 @pytest.mark.parametrize("ym1", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
 def test_totals_equal_one_point_totals(ym1, checkpoints_seen):
     y = 1.0 + ym1
-    got = get_model("ded").totals(y, US)
-    assert checkpoints_seen == [(n, 5) for n in electrolyte._row_counts(from_invariants(y, 0.1))]
+    got = get_model("ded").totals([(y, u) for u in US])
+    assert checkpoints_seen == [[electrolyte._row_counts(from_invariants(y, 0.1))] * 5]
     # value and error bit for bit
     assert got == [f_ded_total(from_invariants(y, u)) for u in US]
+
+
+# 27 y from y - 1 = 1e-3 to 1e3, five u each
+MIXED = [(1.0 + float(ym1), u) for ym1 in np.logspace(-3.0, 3.0, 27) for u in US]
+
+
+@pytest.fixture(scope="module")
+def mixed_alone():
+    return [_alone(y, u) for y, u in MIXED]
+
+
+@given(picks=st.lists(st.integers(0, len(MIXED) - 1), min_size=1, max_size=40))
+@example(picks=list(range(len(MIXED)))[::-1] + [0, 3, 60, 3, len(MIXED) - 1])
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_totals_of_mixed_y_equal_each_point_alone(mixed_alone, picks):
+    # a shuffled batch of points of many y, repeats included
+    got = get_model("ded").totals([MIXED[i] for i in picks])
+    assert got == [mixed_alone[i] for i in picks]
 
 
 def test_totals_point_whose_change_passes_tol_fails_alone(monkeypatch, checkpoints_seen):
     # From the first truncation, 8 rows at y = 2 with a coarse schedule, to
     # the second, 12 rows, log det moves by 6.8e-8 of |log det| at u = 0 and
     # by 7.6e-8 at u = 1/4: at tol = 7.2e-8 the plane returns its 12-row
-    # value and the sphere fails, naming its change.
+    # value and the sphere fails, naming its change.  The points of other y
+    # in the batch get their own values or errors.
     monkeypatch.setattr(electrolyte, "_ROWS_VARPI", 1.0)
     tol = 7.2e-8
-    plane, sphere = get_model("ded").totals(2.0, (0.0, 0.25), tol=tol)
-    assert checkpoints_seen == [(8, 2), (12, 2)]
+    points = [(1.2, 0.1), (2.0, 0.0), (5.0, 0.04), (2.0, 0.25), (1.2, 0.0)]
+    got = get_model("ded").totals(points, tol=tol)
+    assert len(checkpoints_seen) == 1
+    plane, sphere = got[1], got[3]
     checkpoints_seen.clear()
     assert plane == f_ded_total(from_invariants(2.0, 0.0), tol=tol)
-    assert checkpoints_seen == [(8, 1), (12, 1)]
+    assert checkpoints_seen == [[(8, 12)]]
     with pytest.raises(ConvergenceError) as exc:
         f_ded_total(from_invariants(2.0, 0.25), tol=tol)
     assert isinstance(sphere, ConvergenceError) and str(sphere) == str(exc.value)
-    (_, first, _), (_, last, _) = electrolyte._checkpoints(
-        [from_invariants(2.0, 0.25)], [1.0, 1j * electrolyte._STEP], (8, 12))
-    change = np.abs(last[0] - first[0]).max()
+    [[(_, first, _), (_, last, _)]] = electrolyte._checkpoints(
+        [from_invariants(2.0, 0.25)], [1.0, 1j * electrolyte._STEP], [(8, 12)])
+    change = np.abs(last - first).max()
     assert f"log det moved by {change:.3g} from 8 to 12 rows" in str(sphere), sphere
+    for (y, u), res in zip(points, got):
+        assert _same(res, _alone(y, u, tol)), (y, u)
 
 
 def test_totals_of_shuffled_or_repeated_u_are_the_same():
     ded = get_model("ded")
-    by_u = dict(zip(US, ded.totals(1.1, US)))
+    by_u = dict(zip(US, ded.totals([(1.1, u) for u in US])))
     for us in ((0.25, 0.0, 0.1, 0.016, 0.04), (0.1, 0.1, 0.0, 0.25, 0.0)):
-        assert ded.totals(1.1, us) == [by_u[u] for u in us]
+        assert ded.totals([(1.1, u) for u in us]) == [by_u[u] for u in us]
 
 
 def test_totals_keep_a_failed_point_to_itself():
-    # f1_ded overflows at u = 1e-300; the other point keeps its own value
-    failed, res = get_model("ded").totals(2.0, (1e-300, 0.1))
-    assert isinstance(failed, ConvergenceError) and "f1_ded" in str(failed)
-    assert res == f_ded_total(from_invariants(2.0, 0.1))
+    # f1_ded overflows at u = 1e-300; the points of this and other y keep their own values
+    points = [(3.0, 0.25), (2.0, 1e-300), (2.0, 0.1), (1.05, 0.0)]
+    got = get_model("ded").totals(points)
+    assert isinstance(got[1], ConvergenceError) and "f1_ded" in str(got[1])
+    for (y, u), res in zip(points, got):
+        assert _same(res, _alone(y, u)), (y, u)
 
 
 def test_totals_past_the_row_cap_fail_at_once(recursion_starts):
-    got = get_model("ded").totals(1.0 + 3e-7, US)
+    got = get_model("ded").totals([(1.0 + 3e-7, u) for u in US])
     assert len(got) == len(US)
     for res in got:
         assert isinstance(res, ConvergenceError) and "bispherical rows" in str(res)
     assert recursion_starts == []
+    # in a batch of several y they fail alone and start no row
+    points = [(2.0, 0.1), (1.0 + 3e-7, 0.1), (1.5, 0.0), (1.0 + 3e-7, 0.25)]
+    got = get_model("ded").totals(points)
+    assert {red.y for red in recursion_starts} == {2.0, 1.5}
+    for (y, u), res in zip(points, got):
+        assert _same(res, _alone(y, u)), (y, u)
+
+
+def _state_cells(reds, rows, nz):
+    """The (point, z, row) cells of the state of one recursion."""
+    return len(reds) * nz * max(r[-1] for r in rows)
+
+
+@pytest.mark.parametrize("cells", [1, 1000, 2**12])
+def test_groups_keep_their_cell_bound(monkeypatch, cells):
+    # near contact, 20 y x 5 u in one state would need about 0.5 GB
+    monkeypatch.setattr(electrolyte, "_STATE_CELLS", cells)
+    reds = [from_invariants(1.0 + float(ym1), u)
+            for ym1 in np.logspace(-6.0, 2.0, 20) for u in US]
+    rows = [electrolyte._row_counts(red) for red in reds]
+    groups = electrolyte._groups(reds, dict(enumerate(rows)), 2)
+    assert sorted(p for group in groups for p in group) == list(range(len(reds)))
+    for group in groups:
+        deepest = max(rows[p][-1] for p in group)
+        own = max(sum(red.y == reds[p].y for red in reds) for p in group
+                  if rows[p][-1] == deepest)
+        assert _state_cells(group, [rows[p] for p in group], 2) <= max(cells, own * 2 * deepest)
+
+
+def test_grouped_totals_equal_one_batch(monkeypatch, checkpoints_seen):
+    # at 300 cells a state holds about one y: the values stay bit for bit
+    points = [(1.0 + float(ym1), u) for ym1 in (0.05, 0.3, 2.0, 20.0) for u in (0.0, 0.1, 0.25)]
+    whole = get_model("ded").totals(points)
+    assert len(checkpoints_seen) == 1
+    monkeypatch.setattr(electrolyte, "_STATE_CELLS", 300)
+    checkpoints_seen.clear()
+    assert get_model("ded").totals(points) == whole
+    assert len(checkpoints_seen) > 1
+    for trunc in checkpoints_seen:
+        deepest = max(r[-1] for r in trunc)
+        assert len(trunc) * 2 * deepest <= max(300, 3 * 2 * deepest)
 
 
 def test_total_validates_inputs():

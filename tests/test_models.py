@@ -16,19 +16,19 @@ def test_registry_total_rejects_tol_outside_unit_interval(name, tol):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_registry_totals_reject_tol_outside_unit_interval(name):
     with pytest.raises(DomainError):
-        MODELS[name].totals(2.0, (0.0, 0.1), tol=0.0)
+        MODELS[name].totals([(2.0, 0.0), (3.0, 0.1)], tol=0.0)
 
 
 @pytest.mark.parametrize("name", ["scalar", "dvd"])
 def test_series_totals_equal_their_point_totals(name):
     model = MODELS[name]
     us = (0.0, 0.016, 0.04, 0.1, 0.25)
-    for y in (1.01, 2.0, 101.0):
-        assert model.totals(y, us) == [model.total(from_invariants(y, u)) for u in us]
+    points = [(y, u) for y in (1.01, 2.0, 101.0) for u in us]
+    assert model.totals(points) == [model.total(from_invariants(y, u)) for y, u in points]
 
 
 def test_series_totals_keep_a_failed_point_to_itself():
     # far out the dvd total has cancelled to a negative number at u = 1/4
-    failed, res = MODELS["dvd"].totals(1e10, (0.25, 0.1))
+    failed, res = MODELS["dvd"].totals([(1e10, 0.25), (1e10, 0.1)])
     assert isinstance(failed, ConvergenceError) and "not positive" in str(failed)
     assert res == MODELS["dvd"].total(from_invariants(1e10, 0.1))

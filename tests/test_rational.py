@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimir_spheres.cli import build_parser
@@ -68,6 +68,52 @@ def test_phi_rm_positive_continuous(nu, mu, y):
     # a scalar y runs the product on floats, with the array path's bits
     assert type(val) is float
     assert val.hex() == float(phi_rm(np.array([y]), params)[0]).hex()
+
+
+# any finite positive double, subnormals and the largest included
+_FINITE_POSITIVE = st.floats(min_value=0.0, max_value=1.7976931348623157e308, exclude_min=True)
+
+
+@st.composite
+def _any_params(draw):
+    n = draw(st.integers(1, 3))
+    return (tuple(draw(st.lists(_FINITE_POSITIVE, min_size=n, max_size=n))),
+            tuple(draw(st.lists(_FINITE_POSITIVE, min_size=n, max_size=n))))
+
+
+@given(nu_mu=_any_params(), ym1=st.floats(min_value=1e-6, max_value=1e6),
+       grid_ym1=st.sampled_from((1e-2, 0.5, 3.0, 1e3)), u=st.sampled_from((0.0, 0.1, 0.25)),
+       model=st.sampled_from(("dvd", "ded")))
+@example(nu_mu=((1.0, 1.0), (1e300, 1e300)), ym1=1.0, grid_ym1=1e-2, u=0.1, model="dvd")
+@example(nu_mu=((1e300, 1e300), (1.0, 1.0)), ym1=1.0, grid_ym1=1e-2, u=0.1, model="ded")
+@example(nu_mu=((1.0,), (1e-300,)), ym1=1e-6, grid_ym1=0.5, u=0.25, model="dvd")
+@example(nu_mu=((1.0,), (5e-324,)), ym1=1e-6, grid_ym1=3.0, u=0.0, model="dvd")
+@settings(max_examples=300, deadline=None)
+def test_f_approx_and_max_deviation_are_finite_or_raise_typed_errors(nu_mu, ym1, grid_ym1, u,
+                                                                      model):
+    params = RationalModelParams(*nu_mu, model_tag=model)
+    try:
+        val = f_approx(from_invariants(1.0 + ym1, u), model, params)
+    except ConvergenceError:
+        pass
+    else:
+        assert 0.0 < val < math.inf
+    try:
+        dev = max_deviation(params, model, [(1.0 + grid_ym1, u)])
+    except ConvergenceError:
+        pass
+    else:
+        assert 0.0 <= dev < math.inf
+
+
+def test_phi_rm_that_leaves_the_double_range_raises():
+    # finite parameters: the product underflows to 0, overflows, or meets a pole at y = 1
+    for nu, mu, y in [((1.0, 1.0), (1e300, 1e300), 2.0), ((1e300, 1e300), (1.0, 1.0), 2.0),
+                      ((1.0,), (1e-20,), 1.0)]:
+        params = RationalModelParams(nu=nu, mu=mu, model_tag="dvd")
+        for arg in (y, np.array([y, 3.0])):
+            with pytest.raises(ConvergenceError, match="0 or inf"):
+                phi_rm(arg, params)
 
 
 def test_phi_u_endpoints():
