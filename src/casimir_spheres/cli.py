@@ -19,7 +19,6 @@ validate
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -62,11 +61,22 @@ def _geometry_from_args(args) -> ReducedGeometry:
 
 
 def _check_grid(args):
-    for flag in ("ymin", "ymax"):
-        if not math.isfinite(getattr(args, flag)):
-            _fail(f"--{flag} must be a finite number, got {getattr(args, flag)}")
-    if args.ymin <= 0 or args.ymax <= args.ymin or args.points < 2:
-        _fail("need 0 < ymin < ymax (as y-1) and points >= 2")
+    if args.ymax <= args.ymin:
+        _fail(f"need --ymin < --ymax, got {args.ymin} and {args.ymax}")
+
+
+def _write(path, text, report):
+    """Write ``text`` to stdout for ``-``, else to the file ``path`` and print
+    ``report``; exit 2 if the file cannot be written."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc}")
+    print(report)
 
 
 def _read_params(path, models):
@@ -84,8 +94,6 @@ def _read_params(path, models):
 def cmd_compute(args) -> int:
     red = _geometry_from_args(args)
     models = MODELS if args.model == "all" else (args.model,)
-    if args.T is not None and not 0.0 < args.T < math.inf:
-        _fail(f"--T must be a positive temperature in kelvin, got {args.T}")
     print(f"y      = {red.y:.12g}")
     print(f"u      = {red.u:.12g}")
     print(f"varpi  = {red.varpi:.12g}")
@@ -116,16 +124,16 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _curve_point(model, quantity, y, u, total, params):
-    """One CSV row's (value, error); ``total(model, y, u)`` returns a total's.
+def _curve_point(model, quantity, y, u, totals, params):
+    """One CSV row's (value, error); ``totals[y, u]`` is a total's.
 
     Raises ConvergenceError where a quantity read through f1 has no
     value (see :meth:`Model.f1`); every f1 and total it divides by is positive.
     """
     if quantity == "f":
-        return total(model, y, u)
+        return totals[y, u]
     if quantity == "ratio_u_over_quarter":
-        (f, err), (fq, errq) = total(model, y, u), total(model, y, 0.25)
+        (f, err), (fq, errq) = totals[y, u], totals[y, 0.25]
         val = f / fq
         return val, val * (err / f + errq / fq)
     red = from_invariants(y, u)
@@ -134,19 +142,19 @@ def _curve_point(model, quantity, y, u, total, params):
         return f1_red, 0.0
     if quantity == "f_approx":
         return f_approx(red, model, params), 0.0
-    f, err = total(model, y, u)
+    f, err = totals[y, u]
     if quantity == "phi":
         return f / f1_red, err / f1_red
-    (fq, errq), f1_q = total(model, y, 0.25), get_model(model).f1(from_invariants(y, 0.25))
+    (fq, errq), f1_q = totals[y, 0.25], get_model(model).f1(from_invariants(y, 0.25))
     p = (f / f1_red) / (fq / f1_q)
     return p, p * (err / f + errq / fq)
 
 
 def cmd_curve(args) -> int:
-    models = MODELS if args.model == "all" else (args.model,)
+    models = sorted(MODELS) if args.model == "all" else [args.model]
     try:
         # one row per grid point: a repeated u is dropped
-        u_values = list(dict.fromkeys(float(tok) for tok in str(args.u).split(",")))
+        u_values = sorted(dict.fromkeys(float(tok) for tok in str(args.u).split(",")))
     except ValueError:
         _fail(f"--u expects a comma-separated list of numbers, got {args.u!r}")
     _check_grid(args)
@@ -165,76 +173,54 @@ def cmd_curve(args) -> int:
 
     total_us = u_values
     if args.quantity.endswith("_over_quarter"):  # the ratio quantities read u = 1/4 too
-        total_us = list(dict.fromkeys(u_values + [0.25]))
-
-    @functools.cache
-    def totals(model):
-        # every total of one model, failed ones too, is evaluated in one call
-        # when a row first reads one of them: ded runs its points in a few
-        # recursions; f1 and f_approx rows read none
-        points = [(y, u) for y in ys for u in total_us]
-        return {point: (math.nan, math.nan) if isinstance(res, ConvergenceError)
-                else (res.value, res.error)
-                for point, res in zip(points, get_model(model).totals(points, tol=args.tol))}
-
-    def total(model, y, u):
-        return totals(model)[y, u]
-
-    def point(model, y, u):
-        try:
-            return _curve_point(model, args.quantity, y, u, total, params.get(model))
-        except ConvergenceError:  # no digits left
-            return math.nan, math.nan
-
-    rows = sorted(
-        ((model, args.quantity, u, y, *point(model, y, u))
-         for model in models for u in u_values for y in ys),
-        key=lambda r: (r[0], r[1], r[2], r[3]),
-    )
+        total_us = sorted({*u_values, 0.25})
     lines = [
         f"# casimir-spheres {__version__}",
         f"# invocation: {' '.join(args.invocation)}",
         f"# seed: {args.seed}",
         "y_minus_1,u,model,quantity,value,error_estimate",
     ]
-    for model, quantity, u, y, val, err in rows:
-        lines.append(
-            f"{y - 1.0:.12g},{u:.12g},{model},{quantity},{val:.12g},{err:.12g}"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        n_failed = sum(1 for *_, v, _e in rows if isinstance(v, float) and math.isnan(v))
-        print(f"wrote {len(rows)} rows to {args.out}"
-              + (f" ({n_failed} failed points marked nan)" if n_failed else ""))
+    n_failed = 0
+    for model in models:  # rows in output order: model, u, y
+        totals = {}
+        if args.quantity not in ("f1", "f_approx"):  # which read no total
+            # every total of one model, failed ones too, in one call (ded's in a few recursions)
+            points = [(y, u) for y in ys for u in total_us]
+            totals = {point: (math.nan, math.nan) if isinstance(res, ConvergenceError)
+                      else (res.value, res.error)
+                      for point, res in zip(points, get_model(model).totals(points, tol=args.tol))}
+        for u in u_values:
+            for y in ys:
+                try:
+                    val, err = _curve_point(model, args.quantity, y, u, totals,
+                                            params.get(model))
+                except ConvergenceError:  # no digits left
+                    val, err = math.nan, math.nan
+                n_failed += math.isnan(val)
+                lines.append(f"{y - 1.0:.12g},{u:.12g},{model},{args.quantity},"
+                             f"{val:.12g},{err:.12g}")
+    _write(args.out, "\n".join(lines) + "\n", f"wrote {len(lines) - 4} rows to {args.out}"
+           + (f" ({n_failed} failed points marked nan)" if n_failed else ""))
     return 0
 
 
 def cmd_fit(args) -> int:
     if args.model is None:
         _fail("fit needs --model, on the command line or in --config")
-    if args.n < 1:
-        _fail(f"--n must be >= 1, got {args.n}")
-    if not 0.0 <= args.uref <= 0.25:
-        _fail(f"--uref must lie in [0, 1/4], got {args.uref}")
     _check_grid(args)
     grid = default_fit_grid(args.points, args.ymin, args.ymax)
     result = refit(args.model, args.uref, n=args.n, grid=grid, seed=args.seed)
-    print(f"fitted n={args.n} parameters for {args.model} at u_ref={args.uref}:")
-    print(f"  nu = {list(result.params.nu)}")
-    print(f"  mu = {list(result.params.mu)}")
-    print(f"  epsilon (fit grid) = {result.epsilon:.3e}")
+    summary = sys.stderr if args.out == "-" else sys.stdout  # stdout carries the JSON
+    print(f"fitted n={args.n} parameters for {args.model} at u_ref={args.uref}:", file=summary)
+    print(f"  nu = {list(result.params.nu)}", file=summary)
+    print(f"  mu = {list(result.params.mu)}", file=summary)
+    print(f"  epsilon (fit grid) = {result.epsilon:.3e}", file=summary)
     pb = builtin_params(args.model)
     if args.n == pb.n:
         dev_b = max_deviation(pb, args.model, [(y, args.uref) for y in grid])
-        print(f"  built-in parameters on the same grid: epsilon = {dev_b:.3e}")
+        print(f"  built-in parameters on the same grid: epsilon = {dev_b:.3e}", file=summary)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(result.to_json() + "\n")
-        print(f"wrote parameters to {args.out}")
+        _write(args.out, result.to_json() + "\n", f"wrote parameters to {args.out}")
     return 0
 
 
@@ -318,10 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    positive = _checked(float, lambda v: 0.0 < v < math.inf, "be finite and > 0")
+    grid_size = _checked(int, lambda n: n >= 2, "be >= 2")
+
     def add_common(p, seed_help=None):
         """``--config``, and ``--seed`` where ``seed_help`` says what it seeds."""
         if seed_help is not None:
-            p.add_argument("--seed", type=int, default=0, help=seed_help)
+            p.add_argument("--seed", type=_checked(int, lambda s: s >= 0, "be >= 0"), default=0,
+                           help=seed_help)
         p.add_argument("--config", action=_Config, default=None,
                        help="JSON file with defaults for this command (flags win)")
 
@@ -340,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--y", type=float, default=None, help="conformal invariant y > 1")
     pc.add_argument("--u", type=float, default=None, help="radius-ratio parameter in [0, 1/4]")
     pc.add_argument("--model", choices=MODELS + ("all",), default="all")
-    pc.add_argument("--T", type=float, default=None, help="temperature in kelvin")
+    pc.add_argument("--T", type=positive, default=None, help="temperature in kelvin")
     add_tol(pc)
     add_common(pc)
     pc.set_defaults(func=cmd_compute)
@@ -350,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--quantity", choices=QUANTITIES, default="f")
     pv.add_argument("--u", type=str, default="0.25",
                     help="comma-separated u values, e.g. 0,0.1,0.25")
-    pv.add_argument("--ymin", type=float, default=1e-2, help="smallest y-1")
-    pv.add_argument("--ymax", type=float, default=1e2, help="largest y-1")
-    pv.add_argument("--points", type=int, default=50, help="grid size")
+    pv.add_argument("--ymin", type=positive, default=1e-2, help="smallest y-1")
+    pv.add_argument("--ymax", type=positive, default=1e2, help="largest y-1")
+    pv.add_argument("--points", type=grid_size, default=50, help="grid size")
     grp = pv.add_mutually_exclusive_group()
     grp.add_argument("--log", dest="log", action="store_true", default=True,
                      help="log-spaced grid (default)")
@@ -366,12 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("fit", help="refit the rational approximant")
     pf.add_argument("--model", choices=APPROX_MODELS, default=None)
-    pf.add_argument("--uref", type=float, default=0.1)
-    pf.add_argument("--n", type=int, default=2, help="model order")
-    pf.add_argument("--ymin", type=float, default=1e-2)
-    pf.add_argument("--ymax", type=float, default=10.0)
-    pf.add_argument("--points", type=int, default=200)
-    pf.add_argument("--out", type=str, default=None, help="write parameters JSON here")
+    pf.add_argument("--uref", type=_checked(float, lambda u: 0.0 <= u <= 0.25, "lie in [0, 1/4]"),
+                    default=0.1)
+    pf.add_argument("--n", type=_checked(int, lambda n: n >= 1, "be >= 1"), default=2,
+                    help="model order")
+    pf.add_argument("--ymin", type=positive, default=1e-2)
+    pf.add_argument("--ymax", type=positive, default=10.0)
+    pf.add_argument("--points", type=grid_size, default=200)
+    pf.add_argument("--out", type=str, default=None,
+                    help="write the parameters JSON to this path ('-' = stdout)")
     add_common(pf, "perturbs the fit's starting point")
     pf.set_defaults(func=cmd_fit)
 

@@ -42,7 +42,7 @@ class Model:
     ``kernel(chi)`` is the closed form of the zero-frequency TM reflection
     kernel and ``amplitude(ell)``, ell >= 0, its multipole amplitude A_ell:
     the kernel is sum_ell A_ell chi^(2 ell) / (2 ell)!.  A plane reflects
-    with ``plane_sign``, the sign of the kernel.  ``approx`` holds the
+    with the kernel's sign, that of ``amplitude(1)``.  ``approx`` holds the
     built-in ``(nu, mu)`` of the rational approximant, or ``None`` when
     the model has none.
     """
@@ -51,7 +51,6 @@ class Model:
     raw_f1: Callable[..., float]
     kernel: Callable[[np.ndarray], np.ndarray]
     amplitude: Callable[[int], float]
-    plane_sign: float = 1.0
     approx: tuple | None = None
 
     def total(self, red, **kwargs) -> ValueWithError:
@@ -137,7 +136,7 @@ MODELS = {
     # the kernel of this model is negative
     "ded": Model(f_ded_totals, f1_ded,
                  lambda chi: -_ded_bracket(chi), lambda ell: -ell / (ell + 1.0),
-                 plane_sign=-1.0, approx=((0.004618, 0.09639), (0.004415, 0.08397))),
+                 approx=((0.004618, 0.09639), (0.004415, 0.08397))),
 }
 
 APPROX_MODELS = tuple(name for name, m in MODELS.items() if m.approx is not None)

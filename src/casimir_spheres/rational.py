@@ -300,8 +300,8 @@ def refit(
         y sample values, more than 2n of them; defaults to 200 points,
         y-1 log-spaced in [1e-2, 10].
     seed : int
-        Perturbs the starting point deterministically; useful for
-        reproducibility studies.
+        >= 0; a nonzero seed perturbs the starting point deterministically,
+        useful for reproducibility studies.
 
     Returns
     -------
@@ -309,6 +309,9 @@ def refit(
 
     Raises
     ------
+    DomainError
+        Before any phi_u: for a model without built-in parameters, n < 1,
+        a bad grid or a seed numpy cannot take.
     FitError
         If phi_u has no value at a grid point (far out, where f or f1
         is not positive), or the fit does not converge.
@@ -316,6 +319,10 @@ def refit(
     builtin = builtin_params(model)
     if n < 1:
         raise DomainError(f"model order must be >= 1, got {n}")
+    try:
+        rng = np.random.default_rng(seed) if seed else None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}: {exc}") from None
     if grid is None:
         grid = default_fit_grid()
     grid = np.asarray(grid, dtype=float)
@@ -335,8 +342,7 @@ def refit(
         # geometric ladder between the built-in extremes
         ladder = np.geomspace(builtin.nu[0], builtin.nu[-1], n)
         start = np.log(np.concatenate([ladder, ladder * 0.9]))
-    if seed:
-        rng = np.random.default_rng(seed)
+    if rng is not None:
         start = start + rng.uniform(-0.2, 0.2, size=start.size)
 
     x = _levenberg_marquardt(np.exp(-(grid - 1.0)), phi_ref, start)

@@ -111,7 +111,7 @@ def f_roundtrip_planewave(
         raise DomainError(f"plane-wave rule of {nodes} nodes at Gaussian margin {margin:.3g}: "
                           "needs nodes >= 16 and nodes * margin >= 1")
     if red.is_plane and r == 1:
-        pref = 0.5 * reg.plane_sign / (2.0 * red.y) / math.pi
+        pref = 0.5 * math.copysign(1.0, reg.amplitude(1)) / (2.0 * red.y) / math.pi
         rule = partial(_plane_r1_rule, reg.kernel, red.y)
     else:
         # (1/2)(R1 R2 / pi^2 dist^2); with a plane both reflections are at

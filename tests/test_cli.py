@@ -12,6 +12,7 @@ from casimir_spheres.cli import main
 from casimir_spheres.electrolyte import ValueWithError
 from casimir_spheres.errors import FitError
 from casimir_spheres.models import MODELS
+from casimir_spheres.rational import FitResult
 from casimir_spheres.scalar import ZETA3
 
 
@@ -503,3 +504,69 @@ def test_curve_f_approx_rejects_bad_params_file(tmp_path, capsys, content):
               "--params", str(params)])
     assert exc.value.code == 2
     assert "cannot read parameters" in capsys.readouterr().err
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, flag, value, rule", [
+    (["compute", "--y", "2", "--u", "0.1"], "T", "inf", "be finite and > 0"),
+    (["curve", "--model", "dvd"], "ymin", "0", "be finite and > 0"),
+    (["curve", "--model", "dvd"], "points", "1", "be >= 2"),
+    (["curve", "--model", "dvd"], "seed", "-1", "be >= 0"),
+    (["fit", "--model", "dvd"], "ymax", "nan", "be finite and > 0"),
+    (["fit", "--model", "dvd"], "n", "0", "be >= 1"),
+    (["fit", "--model", "dvd"], "uref", "0.3", "lie in [0, 1/4]"),
+    (["fit", "--model", "dvd"], "seed", "-1", "be >= 0"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_parser_reports_flag_ranges(tmp_path, capsys, argv, flag, value, rule, source):
+    # fit --seed -1 used to end in numpy's ValueError, after every fit target was summed
+    if source == "flag":
+        argv = [*argv, f"--{flag}", value]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag: float(value) if flag in ("T", "ymax") else value}))
+        argv = [*argv, "--config", str(cfg)]
+    assert exit_code(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument --{flag}: must {rule}, got " in out.err, out.err
+
+
+@pytest.mark.parametrize("argv", [["curve", "--model", "dvd", *GRID],
+                                  ["fit", "--model", "dvd", "--n", "1", "--points", "20"]])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x.out"
+    assert exit_code([*argv, "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {path}: " in err and "Traceback" not in err, err
+    assert not path.parent.exists()
+
+
+def test_fit_out_dash_writes_json_to_stdout(tmp_path, monkeypatch, capsys):
+    # the summary goes to stderr, so stdout is the parameters document alone
+    monkeypatch.chdir(tmp_path)
+    assert main(["fit", "--model", "dvd", "--n", "1", "--points", "20", "--out", "-"]) == 0
+    out = capsys.readouterr()
+    result = FitResult.from_json(out.out)
+    assert result.params.model_tag == "dvd" and result.params.n == 1
+    assert "fitted n=1 parameters for dvd" in out.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_curve_rows_ordered_by_model_u_y(capsys):
+    # the u order given and a repeated u change no row
+    outputs = []
+    for u in ("0.25,0,0.1,0", "0,0.1,0.25"):
+        assert main(["curve", "--model", "all", "--quantity", "ratio_u_over_quarter",
+                     "--u", u, *GRID, "--out", "-"]) == 0
+        outputs.append(capsys.readouterr().out.splitlines()[4:])
+    assert outputs[0] == outputs[1]
+    keys = [tuple(row.split(",")[:3]) for row in outputs[0]]
+    assert keys == [(dy, u, model) for model in sorted(MODELS) for u in ("0", "0.1", "0.25")
+                    for dy in ("1", "2")]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from casimir_spheres import rational
 from casimir_spheres.cli import build_parser
 from casimir_spheres.errors import ConvergenceError, DomainError, FitError
 from casimir_spheres.geometry import from_invariants
@@ -192,6 +193,17 @@ def test_refit_validates_inputs():
     # 4 targets for 2n = 4 unknowns: the fit is underdetermined
     with pytest.raises(DomainError):
         refit("dvd", 0.1, n=2, grid=default_fit_grid(4))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_refit_rejects_a_seed_numpy_cannot_take(monkeypatch, seed):
+    # numpy's default_rng raised a raw ValueError (-1) or TypeError (1.5), after every target
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a fit target was evaluated")
+
+    monkeypatch.setattr(rational, "phi_u", unexpected)
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        refit("dvd", 0.1, n=1, grid=default_fit_grid(20), seed=seed)
 
 
 @pytest.mark.parametrize("model, bound", [("dvd", 2e-3), ("ded", 4e-3)])
