@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -60,9 +61,14 @@ def _geometry_from_args(args) -> ReducedGeometry:
     return reduce(SphereGeometry(L=args.L, R1=args.R1, R2=PLANE if args.plane else args.R2))
 
 
-def _check_grid(args):
+def _check_grid_and_out(args):
+    """Before any work: ``--ymin < --ymax``, and an ``--out`` that is no folder and
+    lies in a writable one; no file is created or truncated."""
     if args.ymax <= args.ymin:
         _fail(f"need --ymin < --ymax, got {args.ymin} and {args.ymax}")
+    folder = os.path.dirname(args.out or "") or "."
+    if args.out not in (None, "-") and (os.path.isdir(args.out) or not os.access(folder, os.W_OK)):
+        _fail(f"cannot write {args.out}: it is a folder, or its folder is missing or read-only")
 
 
 def _write(path, text, report):
@@ -153,11 +159,11 @@ def _curve_point(model, quantity, y, u, totals, params):
 def cmd_curve(args) -> int:
     models = sorted(MODELS) if args.model == "all" else [args.model]
     try:
-        # one row per grid point: a repeated u is dropped
-        u_values = sorted(dict.fromkeys(float(tok) for tok in str(args.u).split(",")))
+        # one row per grid point: a repeated u is dropped, and -0 reads as 0
+        u_values = sorted(dict.fromkeys(float(tok) + 0.0 for tok in str(args.u).split(",")))
     except ValueError:
         _fail(f"--u expects a comma-separated list of numbers, got {args.u!r}")
-    _check_grid(args)
+    _check_grid_and_out(args)
     if args.log:
         ys = 1.0 + np.logspace(math.log10(args.ymin), math.log10(args.ymax), args.points)
     else:
@@ -207,7 +213,7 @@ def cmd_curve(args) -> int:
 def cmd_fit(args) -> int:
     if args.model is None:
         _fail("fit needs --model, on the command line or in --config")
-    _check_grid(args)
+    _check_grid_and_out(args)
     grid = default_fit_grid(args.points, args.ymin, args.ymax)
     result = refit(args.model, args.uref, n=args.n, grid=grid, seed=args.seed)
     summary = sys.stderr if args.out == "-" else sys.stdout  # stdout carries the JSON
@@ -252,7 +258,7 @@ def _checked(convert, ok, rule):
     exits 2 before any command runs.
     """
     def parse(text):
-        value = convert(text)
+        value = convert(text) + 0  # -0 reads as 0, which no output then shows as -0
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must {rule}, got {text}")
         return value

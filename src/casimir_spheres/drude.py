@@ -77,7 +77,7 @@ def _capacitance_sums(varpi: float, tol: float, scales=()) -> list[float]:
     def terms(n):
         b = -np.expm1(-2.0 * (n + 1.0) * varpi)
         mutual = q ** n * e2 / b
-        if not scales:
+        if not scales:  # the plane: the stack below overflows in q ** (n - 1.0) at y - 1 = 1e308
             return mutual[None]
         a = -np.expm1(-2.0 * n * varpi)
         num = q ** (n - 1.0) * e2

@@ -540,12 +540,18 @@ def test_parser_reports_flag_ranges(tmp_path, capsys, argv, flag, value, rule, s
 
 @pytest.mark.parametrize("argv", [["curve", "--model", "dvd", *GRID],
                                   ["fit", "--model", "dvd", "--n", "1", "--points", "20"]])
-def test_unwritable_out_exits_2(tmp_path, capsys, argv):
-    path = tmp_path / "missing" / "x.out"
-    assert exit_code([*argv, "--out", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert f"cannot write {path}: " in err and "Traceback" not in err, err
-    assert not path.parent.exists()
+def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # before any work: fit used to exit 2 only after the whole fit had run
+    for name in ("get_model", "refit"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs:
+                            pytest.fail(f"{name} was called"))
+    # a file in a missing folder, and a folder
+    for path in (tmp_path / "missing" / "x.out", tmp_path):
+        assert exit_code([*argv, "--out", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"cannot write {path}: " in out.err and "Traceback" not in out.err, out.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fit_out_dash_writes_json_to_stdout(tmp_path, monkeypatch, capsys):
@@ -570,3 +576,20 @@ def test_curve_rows_ordered_by_model_u_y(capsys):
     keys = [tuple(row.split(",")[:3]) for row in outputs[0]]
     assert keys == [(dy, u, model) for model in sorted(MODELS) for u in ("0", "0.1", "0.25")
                     for dy in ("1", "2")]
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["curve", "--model", "scalar", *GRID, "--u={}"], "1,0,scalar,f,"),
+    (["fit", "--model", "dvd", "--n", "1", "--points", "20", "--out", "-", "--uref={}"],
+     '"u_ref": 0.0'),
+], ids=["curve", "fit"])
+def test_negative_zero_is_written_as_zero(capsys, argv, shown):
+    # -0 used to reach the CSV rows as -0 and the parameters JSON as -0.0
+    outputs = []
+    for zero in ("-0", "0"):
+        assert main([arg.format(zero) for arg in argv]) == 0
+        # the CSV header's invocation line names the flag as given
+        outputs.append([line for line in capsys.readouterr().out.splitlines()
+                        if not line.startswith("#")])
+    assert outputs[0] == outputs[1]
+    assert shown in "\n".join(outputs[0])

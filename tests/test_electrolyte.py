@@ -331,7 +331,11 @@ def _same(got, want):
 def test_totals_equal_one_point_totals(ym1, checkpoints_seen):
     y = 1.0 + ym1
     got = get_model("ded").totals([(y, u) for u in US])
-    assert checkpoints_seen == [[electrolyte._row_counts(from_invariants(y, 0.1))] * 5]
+    rows = electrolyte._row_counts(from_invariants(y, 0.1))
+    # at y - 1 = 1e-3 five points of 672 rows and 2 z need 6720 cells, more
+    # than the budget's 4096: its recursions take 3 and 2 of them
+    sizes = [3, 2] if ym1 == 1e-3 else [5]
+    assert checkpoints_seen == [[rows] * size for size in sizes]
     # value and error bit for bit
     assert got == [f_ded_total(from_invariants(y, u)) for u in US]
 
@@ -422,17 +426,15 @@ def test_groups_keep_their_cell_bound(monkeypatch, cells):
     reds = [from_invariants(1.0 + float(ym1), u)
             for ym1 in np.logspace(-6.0, 2.0, 20) for u in US]
     rows = [electrolyte._row_counts(red) for red in reds]
-    groups = electrolyte._groups(reds, dict(enumerate(rows)), 2)
+    groups = electrolyte._groups(dict(enumerate(rows)), 2)
     assert sorted(p for group in groups for p in group) == list(range(len(reds)))
     for group in groups:
         deepest = max(rows[p][-1] for p in group)
-        own = max(sum(red.y == reds[p].y for red in reds) for p in group
-                  if rows[p][-1] == deepest)
-        assert _state_cells(group, [rows[p] for p in group], 2) <= max(cells, own * 2 * deepest)
+        assert _state_cells(group, [rows[p] for p in group], 2) <= max(cells, 2 * deepest)
 
 
 def test_grouped_totals_equal_one_batch(monkeypatch, checkpoints_seen):
-    # at 300 cells a state holds about one y: the values stay bit for bit
+    # at 300 cells a state holds a few points: the values stay bit for bit
     points = [(1.0 + float(ym1), u) for ym1 in (0.05, 0.3, 2.0, 20.0) for u in (0.0, 0.1, 0.25)]
     whole = get_model("ded").totals(points)
     assert len(checkpoints_seen) == 1
@@ -442,7 +444,7 @@ def test_grouped_totals_equal_one_batch(monkeypatch, checkpoints_seen):
     assert len(checkpoints_seen) > 1
     for trunc in checkpoints_seen:
         deepest = max(r[-1] for r in trunc)
-        assert len(trunc) * 2 * deepest <= max(300, 3 * 2 * deepest)
+        assert len(trunc) * 2 * deepest <= max(300, 2 * deepest)
 
 
 def test_total_validates_inputs():

@@ -45,6 +45,7 @@ def _returns_or_raises_typed(fn, *args):
 @example(dy=1.0, u=1e-310)  # alpha1 overflowed, and f1_ded divided by alpha2 = 0
 @example(dy=1.0, u=1.7782794100389226e-154)  # f1_ded: N (N + sqrt(alpha z)) overflowed
 @example(dy=1.7e308, u=0.25)  # capacitance: e^varpi overflowed; dipoles: y**3 overflowed
+@example(dy=1e308, u=0.0)  # the plane's capacitance: q ** (n - 1) overflows without its own path
 @settings(max_examples=300, deadline=None)
 def test_invariant_entry_points_raise_only_typed_errors(dy, u):
     try:
@@ -74,6 +75,7 @@ def _positive_or_typed(fn, *args):
 
 @given(dy=dys, u=us)
 @example(dy=1e12, u=0.1)  # phi_u divided by f1_dvd = 0
+@example(dy=1e308, u=0.0)  # the plane's capacitance: q ** (n - 1) overflows without its own path
 @settings(max_examples=300, deadline=None)
 def test_registry_and_phi_u_return_positive_values_or_typed_errors(dy, u):
     try:
