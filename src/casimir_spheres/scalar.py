@@ -77,7 +77,10 @@ def _series_sum(term_fn, tol: float, what: str) -> list[float]:
     row keeps one running sum, carried from window to window, and the
     total of the earlier chunks is added to it; so every split of a chunk
     into windows gives the same bits as summing the chunk at once, and
-    each row's sum is the one it has when summed alone.
+    each row's sum is the one it has when summed alone; the head's is
+    its plain cumulative sum.  Rows are series that share their terms'
+    factors (dvd's two self capacitance series); a series of varpi alone
+    gets its own memoised call (the scalar total, dvd's mutual series).
     """
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tolerance must lie in (0, 1), got {tol}")
@@ -85,11 +88,10 @@ def _series_sum(term_fn, tol: float, what: str) -> list[float]:
     terms, probes = first[:, :_HEAD], first[:, _HEAD:]
     sums = [None] * len(first)
     ends = None
-    total, carry = 0.0, np.zeros((len(first), 1))
+    total = 0.0
+    csum = part = np.cumsum(terms, axis=1)
     hi = _HEAD
     while True:
-        part = np.cumsum(np.concatenate((carry, terms), axis=1), axis=1)[:, 1:]
-        csum = total + part
         small = terms < tol * csum
         for i, j in enumerate(small.argmax(axis=1).tolist()):
             if sums[i] is None and small[i, j]:
@@ -111,9 +113,12 @@ def _series_sum(term_fn, tol: float, what: str) -> list[float]:
         hi = max(e if lo < e < chunk_end else chunk_end
                  for e, s in zip(ends, sums) if s is None)
         terms = term_fn(np.arange(lo, hi, dtype=float))
+        part = np.cumsum(np.concatenate((carry, terms), axis=1), axis=1)[:, 1:]
+        csum = total + part
 
 
-#: Bound of the scalar-total memo; it holds one entry per (varpi, tol).
+#: Bound of the scalar-total memo and of dvd's mutual-series memo; each
+#: holds one entry per (varpi, tol).
 _SC_CACHE_SIZE = 2048
 
 

@@ -1,15 +1,19 @@
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from casimir_spheres import drude, scalar
 from casimir_spheres.drude import capacitance_coeffs, f1_dvd, f_dvd_dipole, f_dvd_total
 from casimir_spheres.electrolyte import f_ded_total
-from casimir_spheres.errors import ConvergenceError
+from casimir_spheres.errors import ConvergenceError, DomainError
 from casimir_spheres.geometry import PLANE, SphereGeometry, from_invariants, reduce
 from casimir_spheres.scalar import ZETA3, f_sc_total
 from casimir_spheres.validation import f_roundtrip_planewave
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_capacitance_far_limit_equal_spheres():
@@ -152,3 +156,52 @@ def test_capacitance_scale_overflow_raises_at_once(y, u):
         with pytest.raises(ConvergenceError, match="capacitance"):
             fn(red)
         assert time.perf_counter() - t0 < 0.1
+
+
+def test_mutual_series_summed_once_per_varpi():
+    # conformal invariance: five u and the plane at one y read one mutual sum
+    y = 1.0 + 4.1e-4
+    misses = drude._mutual_sum.cache_info().misses
+    for u in (1e-9, 0.016, 0.04, 0.1, 0.25, 0.0):
+        capacitance_coeffs(from_invariants(y, u))
+    assert drude._mutual_sum.cache_info().misses == misses + 1
+    capacitance_coeffs(from_invariants(y, 0.1), tol=1e-10)  # another tol is another sum
+    assert drude._mutual_sum.cache_info().misses == misses + 2
+    with mock.patch.object(drude, "_series_sum", wraps=drude._series_sum) as spy:
+        capacitance_coeffs(from_invariants(y, 0.0))
+        assert spy.call_count == 0  # the plane is a memo read
+        capacitance_coeffs(from_invariants(y, 0.1))
+        assert spy.call_count == 1  # the spheres sum their two self rows alone
+        assert len(spy.call_args.args[0](np.zeros(1))) == 2
+
+
+def test_mutual_memo_is_bounded():
+    assert drude._mutual_sum.cache_info().maxsize == scalar._SC_CACHE_SIZE
+
+
+@pytest.mark.parametrize("tol", [0.0, math.nan, 1.5])
+def test_memoised_mutual_series_still_rejects_bad_tol(tol):
+    for u in (0.0, 0.1):
+        red = from_invariants(2.0, u)
+        capacitance_coeffs(red)
+        for _ in range(2):  # a raise is not memoised
+            with pytest.raises(DomainError):
+                capacitance_coeffs(red, tol=tol)
+
+
+@pytest.mark.parametrize("varpi", [1e-4, 0.1, 3.0, 700.0])
+def test_self_rows_of_a_window_equal_the_per_term_expression(varpi):
+    # slicing q^m and 1 - e^{-2 m varpi} over a window keeps every bit
+    red = from_invariants(math.cosh(varpi), 0.1)
+    w = red.varpi
+    sa1 = math.sqrt(red.alpha1)
+    sa2 = math.sqrt(red.alpha2)
+    q, e2, ew = math.exp(-w), -math.expm1(-2.0 * w), math.exp(w)
+    with mock.patch.object(drude, "_series_sum", lambda term_fn, tol, what: [term_fn]):
+        [terms] = drude._capacitance_sums(w, 1e-12, sa1, sa2)
+    for n in (np.arange(32.0, 45.0), np.arange(4090.0, 4300.0), scalar._FIRST):
+        a = -np.expm1(-2.0 * n * w)
+        b = -np.expm1(-2.0 * (n + 1.0) * w)
+        expected = [q ** (n - 1.0) * e2 / (sa * a + sb * ew * b)
+                    for sa, sb in ((sa1, sa2), (sa2, sa1))]
+        assert np.array_equal(terms(n), expected), n[0]

@@ -12,6 +12,8 @@ from casimir_spheres.errors import ConvergenceError, DomainError
 from casimir_spheres.geometry import from_invariants
 from casimir_spheres.scalar import ZETA3, f_pfa, f_sc_roundtrip, f_sc_total
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_single_roundtrip_values():
     red = from_invariants(2.0, 0.25)
@@ -120,8 +122,8 @@ def _row(term_fn, i):
 
 
 def _term_fns(red):
-    """Term functions of the scalar series, the capacitance series of the
-    two spheres (rows c11, c22, mutual) and of the plane (mutual alone)."""
+    """Term functions of the scalar series, the two self capacitance series
+    of the spheres (rows c11, c22) and the mutual series."""
     captured = []
 
     def capture(term_fn, tol, what):
@@ -129,12 +131,12 @@ def _term_fns(red):
         return [1.0] * len(term_fn(np.zeros(1)))
 
     with mock.patch.object(drude, "_series_sum", capture):
-        drude.capacitance_coeffs(red)
-        drude.capacitance_coeffs(from_invariants(red.y, 0.0))
-    spheres, plane = captured
+        drude._capacitance_sums(red.varpi, 1e-12, math.sqrt(red.alpha1), math.sqrt(red.alpha2))
+        drude._mutual_sum.__wrapped__(red.varpi, 1e-12)  # past the memo, which stays clean
+    spheres, mutual = captured
     varpi = red.varpi
     return {"scalar": lambda n: scalar._roundtrip_terms(varpi, n + 1.0)[None],
-            "capacitance": spheres, "plane": plane}
+            "capacitance": spheres, "mutual": mutual}
 
 
 def _counted(term_fn, counter):
@@ -166,12 +168,14 @@ def test_capacitance_terms_are_the_series_definitions():
     w, sa1 = red.varpi, math.sqrt(red.alpha1)
     sa2 = 1.0 / sa1
     n = np.arange(1.0, 40.0)
-    rows = _term_fns(red)["capacitance"](n)
+    fns = _term_fns(red)
+    rows = fns["capacitance"](n)
+    assert rows.shape == (2, n.size)
     for row, (sa, sb) in zip(rows, [(sa1, sa2), (sa2, sa1)]):
         expected = math.sinh(w) / (sa * np.sinh(n * w) + sb * np.sinh((n + 1) * w))
         np.testing.assert_allclose(row, expected, rtol=1e-13)
-    np.testing.assert_allclose(rows[2], math.sinh(w) / np.sinh((n + 1) * w), rtol=1e-13)
-    assert np.array_equal(_term_fns(red)["plane"](n)[0], rows[2])
+    [mutual] = fns["mutual"](n)
+    np.testing.assert_allclose(mutual, math.sinh(w) / np.sinh((n + 1) * w), rtol=1e-13)
 
 
 def _asked_and_whole(term_fn, tol, name):
